@@ -1,8 +1,8 @@
 // Command deltabench regenerates BENCH_delta.json: the three costs the
 // differential-snapshot layer attacks, each measured full-fat versus
 // delta. Restore: the warm per-trial rewind on the real AES path, flat
-// full-copy versus dirty-tracked. Wire: a warm fetch between same-arch
-// grid cells, full PFSN blob versus PFWD delta frame. Store: the on-disk
+// full-copy versus dirty-tracked. Wire: one noise-sibling grid cell's
+// snapshot, full PFSN blob versus PFWD delta frame. Store: the on-disk
 // footprint of an AES grid sweep, full blobs versus delta chains — with
 // the delta-on and delta-off sweep reports compared byte for byte.
 //
@@ -68,7 +68,7 @@ func run(args []string, stdout io.Writer) error {
 
 	rep := benchReport{
 		Description: "Differential-snapshot costs on the AES path: warm per-trial restore " +
-			"(flat full copy vs dirty-tracked), warm-fetch wire bytes (full PFSN blob vs " +
+			"(flat full copy vs dirty-tracked), encoded snapshot bytes (full PFSN blob vs " +
 			"PFWD delta between noise-sibling phase-1 states), and on-disk footprint of an " +
 			"arch x seed x noise grid (full blobs vs bounded delta chains), with delta " +
 			"on/off sweep reports compared byte for byte. " +
@@ -134,9 +134,8 @@ func run(args []string, stdout io.Writer) error {
 	rep.RestoreSpeedup = float64(rep.RestoreFullNS) / float64(rep.RestoreDirtyNS)
 
 	// Phase 2 — wire. Two noise-sibling phase-1 states: the adjacent cells
-	// of a noise sweep, which is exactly what a cluster warm fetch moves
-	// between workers mid-sweep — the requester holds the previous noise
-	// point's state and the holder answers with a PFWD delta against it.
+	// of a noise sweep, the pair a store delta chain links — the PFWD frame
+	// against the previous noise point's state versus the full blob.
 	sibling := cpu.New(cpu.Options{Arch: bpu.AlderLake, Seed: 1, Noise: 0.02})
 	sa, err := attack.NewAESAttack(sibling, append([]byte(nil), key...))
 	if err != nil {
@@ -193,7 +192,7 @@ func run(args []string, stdout io.Writer) error {
 		// Parallelism 1 keeps the spill order — and with it the delta-chain
 		// shapes and the footprint ratio — deterministic across machines.
 		repo, err := harness.AESGridSweep(context.Background(),
-			harness.Options{Seed: seeds[0], Planner: harness.PlannerOn, Parallelism: 1},
+			harness.Options{Seed: seeds[0], Parallelism: 1},
 			*trials, archs, seeds, noises)
 		if err != nil {
 			return nil, 0, err

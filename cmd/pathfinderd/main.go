@@ -59,8 +59,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	resultCache := fs.Int("result-cache", 256, "result-cache capacity in entries (0 = disabled)")
 	snapDir := fs.String("snap-store", "", `persistent warm-snapshot store directory (default: <data-dir>/snapshots when -data-dir is set; "off" disables)`)
 	snapMax := fs.Int64("snap-store-max", snapstore.DefaultMaxBytes, "snapshot-store size cap in bytes before LRU eviction")
-	storeDelta := fs.Bool("store-delta", true, "persist warm snapshots as delta chains against their planner-prefix base (false = full blobs, pre-delta behavior)")
-	fetchDelta := fs.Bool("fetch-delta", true, "worker: advertise locally held snapshot bases on warm fetches so holders can answer with PFWD deltas (false = always fetch full blobs)")
+	storeDelta := fs.Bool("store-delta", true, "persist warm snapshots as delta chains against the previous snapshot of the same kind and arch (false = full blobs, pre-delta behavior)")
 	pprofAddr := fs.String("pprof-addr", "", "separate listen address for net/http/pprof (empty = disabled)")
 	// Cluster flags. -coordinator, -self-url, -node-name and -heartbeat
 	// shape a worker; -lease-ttl, -dispatch-interval, -max-assigns and
@@ -289,7 +288,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				Heartbeat:      *heartbeat,
 				Logger:         logger,
 				SnapStore:      snaps,
-				NoDeltaFetch:   !*fetchDelta,
 				Timeouts:       rpcTimeouts,
 				HedgeDelay:     *hedgeDelay,
 				RetryPerSecond: *retryRate,

@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -737,5 +738,81 @@ func TestWorkerAdvertisesAndServesStoreSnapshots(t *testing.T) {
 	}
 	if got.Hash() != snap.Hash() {
 		t.Fatalf("served snapshot hash %#x, want %#x", got.Hash(), snap.Hash())
+	}
+}
+
+// TestDispatchBatchesAssignments: the coordinator sends one POST
+// /v1/cluster/runs per destination worker per dispatch pass — not one
+// POST per job — and never uses the legacy single-assignment route.
+func TestDispatchBatchesAssignments(t *testing.T) {
+	c, csrv := startCoord(t, CoordinatorConfig{Registry: ctestRegistry(), MaxInflightPerWorker: 8})
+
+	// Submit the whole sweep before any worker joins, so the first dispatch
+	// pass with a live worker sees every job pending at once.
+	batch, views, err := c.SubmitSweep("ctest", service.Params{}, []string{"alderlake"}, []int64{1, 2, 3, 4, 5, 6}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(views) != 6 {
+		t.Fatalf("submitted %d jobs, want 6", len(views))
+	}
+
+	var mu sync.Mutex
+	var singles, batchPosts, maxBatch int
+	n := &node{svc: service.New(service.Config{Registry: ctestRegistry(), Workers: 2, QueueDepth: 32})}
+	n.srv = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/cluster/run" {
+			mu.Lock()
+			singles++
+			mu.Unlock()
+		}
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/cluster/runs" {
+			raw, _ := io.ReadAll(r.Body)
+			var rb RunBatch
+			_ = json.Unmarshal(raw, &rb)
+			mu.Lock()
+			batchPosts++
+			if len(rb.Jobs) > maxBatch {
+				maxBatch = len(rb.Jobs)
+			}
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(raw))
+		}
+		n.w.Handler().ServeHTTP(rw, r)
+	}))
+	n.w, err = NewWorker(WorkerConfig{
+		Name: "w0", Coordinator: csrv.URL, SelfURL: n.srv.URL,
+		Heartbeat: 20 * time.Millisecond,
+	}, n.svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.w.Start()
+	t.Cleanup(func() {
+		n.w.Stop()
+		n.srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = n.svc.Shutdown(ctx)
+	})
+
+	report := waitReport(t, csrv.URL, batch)
+	var rep service.Report
+	if err := json.Unmarshal(report, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.ByState[service.StateDone] != 6 {
+		t.Fatalf("by_state = %v, want 6 done", rep.ByState)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if singles != 0 {
+		t.Errorf("legacy /v1/cluster/run posts = %d, want 0", singles)
+	}
+	if batchPosts == 0 {
+		t.Fatal("no batched assignment posts observed")
+	}
+	if maxBatch < 4 {
+		t.Errorf("largest assignment batch carried %d jobs, want >= 4", maxBatch)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,7 +18,6 @@ import (
 	"pathfinder/internal/harness"
 	"pathfinder/internal/service"
 	"pathfinder/internal/snapstore"
-	"pathfinder/internal/wire"
 )
 
 // WorkerConfig tunes a Worker.
@@ -59,28 +57,12 @@ type WorkerConfig struct {
 	// same holder again when only one exists). <=0 means 50ms.
 	HedgeDelay time.Duration
 
-	// NoDeltaFetch disables delta negotiation on peer snapshot fetches:
-	// this worker stops advertising locally-held base hashes, so holders
-	// always answer with full blobs. Serving deltas to peers that ask is
-	// unaffected.
-	NoDeltaFetch bool
-
 	Logger     *slog.Logger // nil discards
 	HTTPClient *http.Client // nil uses a pooled keep-alive client (deadlines come from Timeouts)
 }
 
-// deltaBaseHeader names the requester-advertised base a snapshot reply was
-// delta-encoded against; absent on full-blob replies.
-const deltaBaseHeader = "X-Pathfinder-Delta-Base"
-
-// maxHaveHashes caps the base hashes a fetch advertises (and a holder will
-// consider) — enough to cover the warm keys of one sweep without growing
-// request URLs unboundedly.
-const maxHaveHashes = 16
-
-// blobPool recycles snapshot encode buffers across the serve and
-// delta-apply paths, so the ~MiB-scale encodings do not allocate per
-// request.
+// blobPool recycles snapshot encode buffers on the serve path, so the
+// ~MiB-scale encodings do not allocate per request.
 var blobPool = sync.Pool{New: func() any { b := make([]byte, 0, 1<<20); return &b }}
 
 // workerMetrics are the worker-side cluster counters, appended to the
@@ -94,9 +76,6 @@ type workerMetrics struct {
 	hedgeWins      atomic.Uint64 // warm fetches delivered by a non-primary leg
 	hedgeLosses    atomic.Uint64 // hedge legs started but beaten by the primary
 	fetchCorrupt   atomic.Uint64 // peer snapshots rejected by verification
-	deltaServes    atomic.Uint64 // snapshots served as PFWD deltas against a requester-held base
-	deltaApplied   atomic.Uint64 // peer deltas materialized against a local base
-	deltaFallback  atomic.Uint64 // delta fetches that fell back to a full blob
 }
 
 // Worker wraps a full service.Service as one cluster execution node: it
@@ -440,40 +419,14 @@ func (w *Worker) hedgedFetch(holders []SnapshotLocation) (*cpu.Snapshot, Snapsho
 	}
 }
 
-// fetchFromHolder downloads and verifies one snapshot. The download may
-// arrive as a PFWD delta frame against a base this worker advertised; the
-// delta is materialized against the local base before the usual
-// verification. A delta that fails to apply is a corrupt delivery — it
-// feeds the same peer-report machinery as a corrupt full blob — and
-// triggers one full-blob retry from the same holder; a base that was
-// evicted locally between advertising and applying is this worker's own
-// churn, so that full retry is quiet. Verification failures (undecodable
-// wire envelope, content-hash mismatch) count the corrupt metric and
-// report the peer to the coordinator before failing the leg, so the hedge
-// (or a later fetch) lands on a different holder.
+// fetchFromHolder downloads and verifies one snapshot. Verification
+// failures (undecodable wire envelope, content-hash mismatch) count the
+// corrupt metric and report the peer to the coordinator before failing the
+// leg, so the hedge (or a later fetch) lands on a different holder.
 func (w *Worker) fetchFromHolder(ctx context.Context, loc SnapshotLocation) (*cpu.Snapshot, error) {
-	blob, deltaBase, err := w.getSnapshot(ctx, loc.Addr, loc.Hash, true)
+	blob, err := w.getSnapshot(ctx, loc.Addr, loc.Hash)
 	if err != nil {
 		return nil, err
-	}
-	if wire.IsDelta(blob) {
-		full, derr := w.applyDelta(blob, deltaBase)
-		switch {
-		case derr != nil:
-			w.noteCorrupt(loc, derr)
-			w.m.deltaFallback.Add(1)
-			if blob, _, err = w.getSnapshot(ctx, loc.Addr, loc.Hash, false); err != nil {
-				return nil, fmt.Errorf("full retry after corrupt delta from %s: %w", loc.Worker, err)
-			}
-		case full == nil:
-			w.m.deltaFallback.Add(1)
-			if blob, _, err = w.getSnapshot(ctx, loc.Addr, loc.Hash, false); err != nil {
-				return nil, err
-			}
-		default:
-			w.m.deltaApplied.Add(1)
-			blob = full
-		}
 	}
 	snap, err := cpu.DecodeSnapshot(blob)
 	if err != nil {
@@ -502,47 +455,6 @@ func (w *Worker) noteCorrupt(loc SnapshotLocation, err error) {
 		PeerReport{From: w.cfg.Name, Peer: loc.Worker, Class: rpcFailCorrupt}, &ack); perr != nil {
 		w.log.Warn("peer report failed", "peer", loc.Worker, "err", perr)
 	}
-}
-
-// applyDelta materializes a PFWD delta frame against the locally-held base
-// the holder named. A nil, nil return means the base is no longer
-// materializable here (evicted since it was advertised) — not a peer
-// fault; an error means the frame itself is bad: envelope corruption, or a
-// body that does not decode against the base it pins.
-func (w *Worker) applyDelta(frame []byte, baseHash string) ([]byte, error) {
-	if baseHash == "" {
-		return nil, fmt.Errorf("delta frame without a %s header", deltaBaseHeader)
-	}
-	buf := blobPool.Get().(*[]byte)
-	defer blobPool.Put(buf)
-	base, ok := w.snapshotBlob(baseHash, (*buf)[:0])
-	if cap(base) > cap(*buf) {
-		*buf = base[:0]
-	}
-	if !ok {
-		return nil, nil
-	}
-	return wire.DecodeDelta(base, frame)
-}
-
-// haveHashes lists up to maxHaveHashes content hashes of snapshots this
-// worker can materialize locally (warm cache or persistent store) — the
-// delta bases it advertises on a snapshot fetch.
-func (w *Worker) haveHashes(exclude string) []string {
-	ads := w.advertisements()
-	out := make([]string, 0, len(ads))
-	seen := map[string]bool{exclude: true}
-	for _, a := range ads {
-		if seen[a.Hash] {
-			continue
-		}
-		seen[a.Hash] = true
-		out = append(out, a.Hash)
-		if len(out) >= maxHaveHashes {
-			break
-		}
-	}
-	return out
 }
 
 // snapshotBlob materializes the encoded snapshot with the given content
@@ -577,36 +489,26 @@ func (w *Worker) snapshotBlob(hash string, buf []byte) ([]byte, bool) {
 // getSnapshot downloads one content-addressed snapshot blob from a peer
 // under a deadline sized to the blob: FetchBase covers dialing and headers,
 // then the deadline is extended per advertised MB once headers arrive.
-// With delta negotiation on, the request advertises locally-held base
-// hashes and the reply may be a PFWD delta frame; deltaBase relays which
-// base the holder chose.
-func (w *Worker) getSnapshot(parent context.Context, addr, hash string, allowDelta bool) (blob []byte, deltaBase string, err error) {
+func (w *Worker) getSnapshot(parent context.Context, addr, hash string) ([]byte, error) {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	timer := time.AfterFunc(w.cfg.Timeouts.FetchBase, cancel)
 	defer timer.Stop()
 
-	u := addr + "/snapshots/" + hash
-	if allowDelta && !w.cfg.NoDeltaFetch {
-		if have := w.haveHashes(hash); len(have) > 0 {
-			u += "?have=" + strings.Join(have, ",")
-		}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/snapshots/"+hash, nil)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	resp, err := w.client.Do(req)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, "", fmt.Errorf("peer returned %s", resp.Status)
+		return nil, fmt.Errorf("peer returned %s", resp.Status)
 	}
 	timer.Reset(w.cfg.Timeouts.fetchDeadline(resp.ContentLength))
-	blob, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	return blob, resp.Header.Get(deltaBaseHeader), err
+	return io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 }
 
 // acceptAssignment admits one coordinator assignment into the wrapped
@@ -646,8 +548,7 @@ func (w *Worker) acceptAssignment(req RunRequest) RunResponse {
 //	POST /v1/cluster/run    accept one assignment (429 on a full queue)
 //	POST /v1/cluster/runs   accept one dispatch tick's assignment batch
 //	GET  /snapshots         content-addressed snapshot index
-//	GET  /snapshots/{hash}  one encoded snapshot blob (a PFWD delta frame
-//	                        when the requester advertises a held base)
+//	GET  /snapshots/{hash}  one encoded, hash-addressed snapshot blob
 //	GET  /metrics           service metrics + worker cluster counters
 //	...                     everything else: the embedded service API
 func (w *Worker) Handler() http.Handler {
@@ -707,47 +608,6 @@ func (w *Worker) Handler() http.Handler {
 			writeJSON(rw, http.StatusNotFound, map[string]any{"error": "no snapshot with that hash"})
 			return
 		}
-		// Delta negotiation: when the requester advertises bases it holds
-		// and one is materializable here too, answer with a PFWD frame —
-		// but only when the delta actually beats the full blob on the wire.
-		if haveQ := r.URL.Query().Get("have"); haveQ != "" {
-			have := strings.Split(haveQ, ",")
-			if len(have) > maxHaveHashes {
-				have = have[:maxHaveHashes]
-			}
-			for _, baseHash := range have {
-				if baseHash == "" || baseHash == hash {
-					continue
-				}
-				bbuf := blobPool.Get().(*[]byte)
-				base, held := w.snapshotBlob(baseHash, (*bbuf)[:0])
-				if cap(base) > cap(*bbuf) {
-					*bbuf = base[:0]
-				}
-				if !held {
-					blobPool.Put(bbuf)
-					continue
-				}
-				dbuf := blobPool.Get().(*[]byte)
-				delta := wire.AppendDelta((*dbuf)[:0], base, blob)
-				if cap(delta) > cap(*dbuf) {
-					*dbuf = delta[:0]
-				}
-				blobPool.Put(bbuf)
-				if len(delta) < len(blob) {
-					w.m.snapshotServes.Add(1)
-					w.m.deltaServes.Add(1)
-					rw.Header().Set("Content-Type", "application/octet-stream")
-					rw.Header().Set(deltaBaseHeader, baseHash)
-					rw.Header().Set("Content-Length", fmt.Sprint(len(delta)))
-					_, _ = rw.Write(delta)
-					blobPool.Put(dbuf)
-					return
-				}
-				blobPool.Put(dbuf)
-				break // a shared base exists but the delta does not pay; serve full
-			}
-		}
 		w.m.snapshotServes.Add(1)
 		rw.Header().Set("Content-Type", "application/octet-stream")
 		rw.Header().Set("Content-Length", fmt.Sprint(len(blob)))
@@ -772,11 +632,6 @@ func (w *Worker) Handler() http.Handler {
 		fmt.Fprintf(rw, "# HELP pathfinderd_worker_snapshot_serves_total warm snapshots served to peers\n")
 		fmt.Fprintf(rw, "# TYPE pathfinderd_worker_snapshot_serves_total counter\n")
 		fmt.Fprintf(rw, "pathfinderd_worker_snapshot_serves_total %d\n", w.m.snapshotServes.Load())
-		fmt.Fprintf(rw, "# HELP pathfinderd_worker_snapshot_delta_total delta-negotiated snapshot exchange events\n")
-		fmt.Fprintf(rw, "# TYPE pathfinderd_worker_snapshot_delta_total counter\n")
-		fmt.Fprintf(rw, "pathfinderd_worker_snapshot_delta_total{event=\"served\"} %d\n", w.m.deltaServes.Load())
-		fmt.Fprintf(rw, "pathfinderd_worker_snapshot_delta_total{event=\"applied\"} %d\n", w.m.deltaApplied.Load())
-		fmt.Fprintf(rw, "pathfinderd_worker_snapshot_delta_total{event=\"fallback\"} %d\n", w.m.deltaFallback.Load())
 		fmt.Fprintf(rw, "# HELP pathfinderd_worker_warm_cache_total process warm-cache lookups, by outcome\n")
 		fmt.Fprintf(rw, "# TYPE pathfinderd_worker_warm_cache_total counter\n")
 		fmt.Fprintf(rw, "pathfinderd_worker_warm_cache_total{outcome=\"hit\"} %d\n", warmHits)

@@ -105,14 +105,6 @@ type Options struct {
 	// kills it; reports are byte-identical either way — the cache trades
 	// time, never outcomes. RefModel runs always bypass the cache.
 	WarmCache WarmCacheMode
-
-	// Planner selects the sweep-planner policy (planner.go) for the grid
-	// drivers (AESGridSweep, AESNoiseSweep): group cells by their shared
-	// training prefix, train each distinct prefix once, and prefetch the
-	// next group's checkpoint from the persistent snapshot store while the
-	// current group executes. The zero value (Auto) follows the warm cache;
-	// reports are byte-identical with the planner on or off.
-	Planner PlannerMode
 }
 
 // workers resolves the worker-pool size for the sharded drivers.
@@ -679,7 +671,7 @@ type AESEvalResult struct {
 
 // aesEvalKey is the fixed AES key of the §9 evaluation (the FIPS-197
 // appendix key). Its hash content-addresses the phase-1 checkpoint, so the
-// sweep planner can compute a cell's prefix key without building a machine.
+// sweep loop can compute a cell's prefix key without building a machine.
 var aesEvalKey = []byte{0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
 	0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c}
 
@@ -969,22 +961,20 @@ func AESNoiseSweep(ctx context.Context, opts Options, trials int, noise float64,
 	}
 	rep := &NoiseSweepReport{Profile: base}
 	// Every point shares one phase-1 prefix — the checkpoint key omits the
-	// fault profile — so under the planner the whole ladder forms a single
-	// group behind one recovery (trained once, or restored from the
-	// persistent store). Each cell writes its own slot; the report is
-	// assembled in intensity order, so planner routing is byte-neutral.
+	// fault profile — so the whole ladder runs behind one recovery (trained
+	// once, or restored from the persistent store). Each cell writes its
+	// own slot; the report is assembled in intensity order.
 	prefix := aesPhase1Key(opts, noise)
 	results := make([]AESEvalResult, len(intensities))
-	cells := make([]SweepCell, len(intensities))
+	cells := make([]sweepCell, len(intensities))
 	for i, p := range intensities {
 		prof := base.WithPollution(p, base.PHRPollutionBurst)
 		o := opts
 		o.Faults = &prof
-		i := i
-		cells[i] = SweepCell{
-			Label:  fmt.Sprintf("aes-noise[p=%g]", p),
-			Prefix: prefix,
-			Run: func(ctx context.Context) error {
+		cells[i] = sweepCell{
+			label:  fmt.Sprintf("aes-noise[p=%g]", p),
+			prefix: prefix,
+			run: func(ctx context.Context) error {
 				res, err := AESLeakEval(ctx, o, trials, noise)
 				if err != nil {
 					return err
@@ -994,13 +984,7 @@ func AESNoiseSweep(ctx context.Context, opts Options, trials int, noise float64,
 			},
 		}
 	}
-	var err error
-	if opts.plannerOn() {
-		err = RunSweep(ctx, cells)
-	} else {
-		err = runSweepNaive(ctx, cells)
-	}
-	if err != nil {
+	if err := runSweep(ctx, opts, cells); err != nil {
 		return nil, err
 	}
 	for i, p := range intensities {
@@ -1027,16 +1011,15 @@ type AESGridReport struct {
 
 // AESGridSweep runs the §9 AES evaluation over a grid of
 // microarchitectures, base seeds and noise levels — the batch shape the
-// robustness studies sweep. Cells execute through the sweep planner: they
-// are grouped by their phase-1 checkpoint address, each distinct checkpoint
-// is trained once (or restored from the persistent snapshot store, which is
-// what makes a repeated sweep in a fresh process fast), and the next
-// group's checkpoint is prefetched from the store while the current group
-// executes. Empty dimension slices default to the options' own arch and
-// seed and noise 0. Each cell writes its own grid slot and the report is
-// assembled in grid order, so the report is a pure function of (Options,
-// arguments): byte-identical with the planner or the store on or off, at
-// every Parallelism and BatchSize.
+// robustness studies sweep. Cells run in grid order: each phase-1
+// checkpoint is trained once per process (or restored from the persistent
+// snapshot store, which is what makes a repeated sweep in a fresh process
+// fast), and the next cell's checkpoint is prefetched from the store while
+// the current one executes. Empty dimension slices default to the options'
+// own arch and seed and noise 0. Each cell writes its own grid slot and the
+// report is assembled in grid order, so the report is a pure function of
+// (Options, arguments): byte-identical with the store on or off, at every
+// Parallelism and BatchSize.
 func AESGridSweep(ctx context.Context, opts Options, trials int, archs []bpu.Config, seeds []int64, noises []float64) (*AESGridReport, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -1053,7 +1036,7 @@ func AESGridSweep(ctx context.Context, opts Options, trials int, archs []bpu.Con
 	n := len(archs) * len(seeds) * len(noises)
 	results := make([]AESEvalResult, n)
 	points := make([]AESGridPoint, n)
-	cells := make([]SweepCell, 0, n)
+	cells := make([]sweepCell, 0, n)
 	i := 0
 	for _, cfg := range archs {
 		for _, s := range seeds {
@@ -1064,10 +1047,10 @@ func AESGridSweep(ctx context.Context, opts Options, trials int, archs []bpu.Con
 				key := aesPhase1Key(o, nz)
 				ci := i
 				points[ci] = AESGridPoint{Arch: key.Arch, Seed: key.Seed, Noise: nz}
-				cells = append(cells, SweepCell{
-					Label:  fmt.Sprintf("aes[%s seed=%d noise=%g]", key.Arch, key.Seed, nz),
-					Prefix: key,
-					Run: func(ctx context.Context) error {
+				cells = append(cells, sweepCell{
+					label:  fmt.Sprintf("aes[%s seed=%d noise=%g]", key.Arch, key.Seed, nz),
+					prefix: key,
+					run: func(ctx context.Context) error {
 						res, err := AESLeakEval(ctx, o, trials, nz)
 						if err != nil {
 							return err
@@ -1080,13 +1063,7 @@ func AESGridSweep(ctx context.Context, opts Options, trials int, archs []bpu.Con
 			}
 		}
 	}
-	var err error
-	if opts.plannerOn() {
-		err = RunSweep(ctx, cells)
-	} else {
-		err = runSweepNaive(ctx, cells)
-	}
-	if err != nil {
+	if err := runSweep(ctx, opts, cells); err != nil {
 		return nil, err
 	}
 	rep := &AESGridReport{Points: points}

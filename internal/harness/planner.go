@@ -6,114 +6,52 @@ import (
 	"sync/atomic"
 )
 
-// The sweep planner: shared-prefix execution ordering for grids of driver
-// cells. A sweep — arch × seed grids, noise-intensity ladders — is a list
-// of cells whose expensive training prefix (the phase-level warm-cache
-// entry, e.g. the AES phase-1 control-flow recovery) is often shared
-// between cells. Run naively in input order, each cell rediscovers the
-// prefix through the warm cache; grouped, the distinct prefixes are trained
-// (or restored from the persistent snapshot store) exactly once each, the
-// remaining cells of the group fork from the cached checkpoint, and while
-// one group executes the next group's prefix is prefetched from the store
-// in the background — the disk read and wire decode overlap the current
-// group's simulation instead of serializing in front of it.
+// Sweep execution for grids of driver cells. A sweep — arch × seed grids,
+// noise-intensity ladders — is a list of cells, each with an expensive
+// training prefix: the phase-level warm-cache entry its driver computes
+// under, e.g. the AES phase-1 control-flow recovery. Cells run in input
+// order; cells that share a prefix find it through the warm cache's
+// content-addressed contract. The one thing the loop adds is a depth-1
+// pipeline: while a cell executes, the next cell's prefix, when different,
+// is prefetched from the persistent snapshot store in the background, so
+// its disk read and wire decode overlap simulation instead of serializing
+// in front of it.
 //
-// The planner never touches results: cells are required to be independent
-// (each writes its own slot; the caller assembles the report in cell-index
-// order), so regrouping is execution-order-neutral and reports stay
-// byte-identical with the planner on or off — the grid invariance tests pin
-// that. All actual sharing flows through the warm cache's existing
-// content-addressed contract; the planner only arranges for the sharing to
-// be maximal and the restores to be pipelined.
+// Cells are independent (each writes its own slot; the caller assembles
+// the report in cell-index order), so the loop never touches results and
+// reports are byte-identical with or without the store — the grid
+// invariance tests pin that.
 
-// PlannerMode selects the sweep-planner policy for grid drivers.
-type PlannerMode int
-
-// Planner modes. The zero value (PlannerAuto) follows the warm cache: the
-// planner's grouping only pays off when prefixes can actually be cached.
-// Explicit On/Off win; Off runs cells in plain input order.
-const (
-	PlannerAuto PlannerMode = iota
-	PlannerOff
-	PlannerOn
-)
-
-// plannerOn resolves the effective planner policy for this run.
-func (o Options) plannerOn() bool {
-	switch o.Planner {
-	case PlannerOn:
-		return true
-	case PlannerOff:
-		return false
-	}
-	return o.warmOn()
+// sweepCell is one point of a sweep grid. prefix is the content address of
+// the cell's training prefix — the warm-cache key its driver computes
+// under. run executes the cell; it must write its result into
+// caller-owned storage keyed by cell identity.
+type sweepCell struct {
+	label  string
+	prefix WarmStateKey
+	run    func(ctx context.Context) error
 }
 
-// SweepCell is one point of a sweep grid. Prefix is the content address of
-// the cell's expensive training prefix — the warm-cache key its driver will
-// compute under — or the zero key when the cell shares nothing. Run
-// executes the cell; it must write its result into caller-owned storage
-// keyed by cell identity, never by execution order.
-type SweepCell struct {
-	Label  string
-	Prefix WarmStateKey
-	Run    func(ctx context.Context) error
-}
-
-// SweepGroup is one shared-prefix batch of a plan: indices into the planned
-// cell slice, in input order.
-type SweepGroup struct {
-	Prefix WarmStateKey
-	Cells  []int
-}
-
-// SweepPlan is the grouped execution order for a cell list.
-type SweepPlan struct {
-	Cells  []SweepCell
-	Groups []SweepGroup
-}
-
-// PlanSweep groups cells by their prefix key, preserving first-seen group
-// order and input order within each group. Zero-prefix cells form singleton
-// groups in place, so a sweep with nothing to share degenerates to input
-// order exactly.
-func PlanSweep(cells []SweepCell) *SweepPlan {
-	p := &SweepPlan{Cells: cells}
-	byPrefix := make(map[WarmStateKey]int)
-	for i, c := range cells {
-		if c.Prefix == (WarmStateKey{}) {
-			p.Groups = append(p.Groups, SweepGroup{Cells: []int{i}})
-			continue
-		}
-		gi, ok := byPrefix[c.Prefix]
-		if !ok {
-			gi = len(p.Groups)
-			byPrefix[c.Prefix] = gi
-			p.Groups = append(p.Groups, SweepGroup{Prefix: c.Prefix})
-		}
-		p.Groups[gi].Cells = append(p.Groups[gi].Cells, i)
-	}
-	return p
-}
-
-// Planner accounting, process-global like the warm cache it drives.
+// Sweep accounting, process-global like the warm cache it feeds. A group
+// is a run of consecutive cells with the same prefix.
 var (
-	plannerGroups         atomic.Uint64 // groups executed
-	plannerCells          atomic.Uint64 // cells executed under the planner
-	plannerSharedCells    atomic.Uint64 // cells that reused a groupmate's prefix
+	plannerGroups         atomic.Uint64 // prefix runs executed
+	plannerCells          atomic.Uint64 // sweep cells executed
+	plannerSharedCells    atomic.Uint64 // cells that reused the previous cell's prefix
 	plannerPrefetchHits   atomic.Uint64 // background store prefetches that installed an entry
 	plannerPrefetchMisses atomic.Uint64 // background prefetches the store could not serve
 )
 
-// PlannerStats reports cumulative sweep-planner counters: executed groups
-// and cells, cells that rode a groupmate's prefix training, and background
-// store-prefetch outcomes. Surfaced on the daemon's /metrics.
+// PlannerStats reports cumulative sweep counters: executed groups (runs of
+// consecutive cells with the same prefix) and cells, cells that rode the
+// previous cell's prefix, and background store-prefetch outcomes. Surfaced
+// on the daemon's /metrics.
 func PlannerStats() (groups, cells, shared, prefetchHits, prefetchMisses uint64) {
 	return plannerGroups.Load(), plannerCells.Load(), plannerSharedCells.Load(),
 		plannerPrefetchHits.Load(), plannerPrefetchMisses.Load()
 }
 
-// ResetPlannerStats zeroes the planner counters — test and benchmark
+// ResetPlannerStats zeroes the sweep counters — test and benchmark
 // isolation only.
 func ResetPlannerStats() {
 	plannerGroups.Store(0)
@@ -125,14 +63,15 @@ func ResetPlannerStats() {
 
 // prefetchPrefix pulls key's entry from the persistent store into the warm
 // cache in the background, returning a channel closed when done. It is
-// purely an optimization: a miss just means the owning group's first cell
-// consults the store (or trains) itself.
+// purely an optimization: a miss just means the next cell consults the
+// store (or trains) itself. The residency check is not a lookup, so it
+// leaves the warm cache's hit/miss counters to the drivers.
 func prefetchPrefix(key WarmStateKey) <-chan struct{} {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		k := key.internal()
-		if _, ok := warm.get(k); ok {
+		if warm.touch(k) {
 			return // already resident; nothing to overlap
 		}
 		if e, ok := storeLoad(k); ok {
@@ -145,73 +84,40 @@ func prefetchPrefix(key WarmStateKey) <-chan struct{} {
 	return done
 }
 
-// Run executes the plan: groups in plan order, cells of a group in input
-// order, with a depth-1 pipeline that prefetches the next group's prefix
-// from the persistent store while the current group executes. Cell
-// parallelism lives inside each cell's driver (Options.Parallelism); the
-// planner itself is sequential over cells, which is what keeps the grouped
-// execution byte-identical to the naive order.
-func (p *SweepPlan) Run(ctx context.Context) error {
-	storeOn := InstalledSnapStore() != nil
+// runSweep executes cells in input order. Whenever the next cell's prefix
+// differs from the current one, it is prefetched from the store while the
+// current cell runs (when the warm cache is on and a store is installed).
+// Cell parallelism lives inside each cell's driver (Options.Parallelism);
+// the loop itself is sequential.
+func runSweep(ctx context.Context, opts Options, cells []sweepCell) error {
+	prefetch := opts.warmOn() && InstalledSnapStore() != nil
 	var next <-chan struct{}
-	for gi, g := range p.Groups {
+	defer func() {
 		if next != nil {
-			<-next // this group's prefix prefetch, started last iteration
+			<-next
 		}
-		next = nil
-		if storeOn && gi+1 < len(p.Groups) {
-			if k := p.Groups[gi+1].Prefix; k != (WarmStateKey{}) {
-				next = prefetchPrefix(k)
-			}
+	}()
+	for i, cell := range cells {
+		if next != nil {
+			<-next // this cell's prefix prefetch, started with the last cell
+			next = nil
 		}
-		plannerGroups.Add(1)
-		for i, ci := range g.Cells {
-			cell := p.Cells[ci]
-			if err := ctx.Err(); err != nil {
-				drain(next)
-				return err
-			}
-			if err := cell.Run(ctx); err != nil {
-				drain(next)
-				if cell.Label != "" {
-					return fmt.Errorf("harness: sweep cell %s: %w", cell.Label, err)
-				}
-				return err
-			}
-			plannerCells.Add(1)
-			if i > 0 {
-				plannerSharedCells.Add(1)
-			}
-		}
-	}
-	drain(next)
-	return ctx.Err()
-}
-
-func drain(ch <-chan struct{}) {
-	if ch != nil {
-		<-ch
-	}
-}
-
-// RunSweep plans and executes cells with shared-prefix grouping and
-// pipelined warm restore.
-func RunSweep(ctx context.Context, cells []SweepCell) error {
-	return PlanSweep(cells).Run(ctx)
-}
-
-// runSweepNaive executes cells in plain input order — the PlannerOff path,
-// kept explicit so on/off benchmarks compare real alternatives.
-func runSweepNaive(ctx context.Context, cells []SweepCell) error {
-	for _, cell := range cells {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := cell.Run(ctx); err != nil {
-			if cell.Label != "" {
-				return fmt.Errorf("harness: sweep cell %s: %w", cell.Label, err)
-			}
-			return err
+		shared := i > 0 && cell.prefix == cells[i-1].prefix
+		if !shared {
+			plannerGroups.Add(1)
+		}
+		if prefetch && i+1 < len(cells) && cells[i+1].prefix != cell.prefix {
+			next = prefetchPrefix(cells[i+1].prefix)
+		}
+		if err := cell.run(ctx); err != nil {
+			return fmt.Errorf("harness: sweep cell %s: %w", cell.label, err)
+		}
+		plannerCells.Add(1)
+		if shared {
+			plannerSharedCells.Add(1)
 		}
 	}
 	return ctx.Err()

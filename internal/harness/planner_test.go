@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -44,38 +45,6 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if _, err := AESGridSweep(context.Background(), Options{Parallelism: -1}, 1, nil, nil, nil); err == nil {
 		t.Error("AESGridSweep accepted negative Parallelism")
-	}
-}
-
-func TestPlanSweepGrouping(t *testing.T) {
-	k := func(seed int64) WarmStateKey { return WarmStateKey{Kind: "t", Arch: "a", Seed: seed} }
-	nop := func(context.Context) error { return nil }
-	cells := []SweepCell{
-		{Label: "a0", Prefix: k(1), Run: nop},
-		{Label: "b0", Prefix: k(2), Run: nop},
-		{Label: "free", Run: nop}, // zero prefix: singleton group in place
-		{Label: "a1", Prefix: k(1), Run: nop},
-		{Label: "b1", Prefix: k(2), Run: nop},
-		{Label: "a2", Prefix: k(1), Run: nop},
-	}
-	p := PlanSweep(cells)
-	want := [][]int{{0, 3, 5}, {1, 4}, {2}}
-	if len(p.Groups) != len(want) {
-		t.Fatalf("%d groups, want %d", len(p.Groups), len(want))
-	}
-	for gi, w := range want {
-		g := p.Groups[gi]
-		if len(g.Cells) != len(w) {
-			t.Fatalf("group %d holds %v, want %v", gi, g.Cells, w)
-		}
-		for i := range w {
-			if g.Cells[i] != w[i] {
-				t.Fatalf("group %d holds %v, want %v", gi, g.Cells, w)
-			}
-		}
-	}
-	if p.Groups[0].Prefix != k(1) || p.Groups[1].Prefix != k(2) || p.Groups[2].Prefix != (WarmStateKey{}) {
-		t.Fatal("group prefixes lost")
 	}
 }
 
@@ -186,10 +155,10 @@ func TestWarmCacheStoreTier(t *testing.T) {
 	}
 }
 
-// TestRunSweepPrefetchPipeline: while group g executes, group g+1's prefix
-// must be pulled from the store into the warm cache in the background, so
-// the group's first cell starts from a resident entry.
-func TestRunSweepPrefetchPipeline(t *testing.T) {
+// TestSweepPrefetchPipeline: while one prefix run executes, the next
+// run's prefix must be pulled from the store into the warm cache in the
+// background, so the run's first cell starts from a resident entry.
+func TestSweepPrefetchPipeline(t *testing.T) {
 	f := installFakeStore(t)
 	snap := cpu.New(cpu.Options{Seed: 2}).Snapshot()
 	kA := WarmStateKey{Kind: "pf", Arch: "a", Seed: 1}
@@ -197,51 +166,110 @@ func TestRunSweepPrefetchPipeline(t *testing.T) {
 	f.m[kB.String()] = &warmEntry{snap: snap} // only B is disk-resident
 
 	sawResident := false
-	cells := []SweepCell{
-		{Label: "a", Prefix: kA, Run: func(context.Context) error { return nil }},
-		{Label: "b", Prefix: kB, Run: func(context.Context) error {
-			// The plan waits for B's prefetch before running this cell, so
+	cells := []sweepCell{
+		{label: "a", prefix: kA, run: func(context.Context) error { return nil }},
+		{label: "b", prefix: kB, run: func(context.Context) error {
+			// The loop waits for B's prefetch before running this cell, so
 			// the entry must already be in the in-memory cache.
-			_, sawResident = warm.get(kB.internal())
+			sawResident = warm.touch(kB.internal())
 			return nil
 		}},
 	}
-	if err := RunSweep(context.Background(), cells); err != nil {
+	if err := runSweep(context.Background(), Options{WarmCache: WarmCacheOn}, cells); err != nil {
 		t.Fatal(err)
 	}
 	if !sawResident {
-		t.Fatal("group B's prefix was not resident when its cell ran")
+		t.Fatal("run B's prefix was not resident when its cell ran")
 	}
 	groups, ncells, shared, pfHits, _ := PlannerStats()
 	if groups != 2 || ncells != 2 || shared != 0 {
-		t.Fatalf("planner stats groups=%d cells=%d shared=%d", groups, ncells, shared)
+		t.Fatalf("sweep stats groups=%d cells=%d shared=%d", groups, ncells, shared)
 	}
 	if pfHits != 1 {
 		t.Fatalf("prefetch hits = %d, want 1", pfHits)
 	}
 }
 
-// TestRunSweepCellError: a failing cell aborts the sweep with its label.
-func TestRunSweepCellError(t *testing.T) {
+// TestAESGridSweepPrefetchLeavesLookupCounts: the prefetch's residency
+// check is not a warm-cache lookup. Over a warm store, a grid sweep of
+// distinct cells records exactly the warm-cache lookups of the same cells
+// run as plain AESLeakEval calls in the same order: the prefetch turns the
+// phase-1 misses into hits but adds no lookups of its own.
+func TestAESGridSweepPrefetchLeavesLookupCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long test")
+	}
+	ctx := context.Background()
+	seeds := []int64{31, 32, 33}
+	opts := Options{Parallelism: 1, WarmCache: WarmCacheOn}
+	const trials = 2
+	dir := t.TempDir()
+	coldProcess := func(t *testing.T) {
+		t.Helper()
+		warm.reset()
+		ResetPlannerStats()
+		s, err := snapstore.Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		SetSnapStore(s)
+	}
+	defer SetSnapStore(nil)
+	defer ResetPlannerStats()
+
+	coldProcess(t) // priming run: fills the store
+	if _, err := AESGridSweep(ctx, opts, trials, nil, seeds, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	coldProcess(t)
+	for _, s := range seeds {
+		o := opts
+		o.Seed = s
+		if _, err := AESLeakEval(ctx, o, trials, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits, misses := WarmCacheStats()
+	want := hits + misses
+
+	coldProcess(t)
+	if _, err := AESGridSweep(ctx, opts, trials, nil, seeds, nil); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses = WarmCacheStats()
+	if got := hits + misses; got != want {
+		t.Errorf("sweep recorded %d warm-cache lookups, want the drivers' own %d", got, want)
+	}
+	if _, _, _, pfHits, _ := PlannerStats(); pfHits != uint64(len(seeds)-1) {
+		t.Errorf("prefetch hits = %d, want %d", pfHits, len(seeds)-1)
+	}
+}
+
+// TestSweepCellError: a failing cell aborts the sweep with its label.
+func TestSweepCellError(t *testing.T) {
 	boom := errors.New("boom")
 	ran := 0
-	cells := []SweepCell{
-		{Label: "ok", Run: func(context.Context) error { ran++; return nil }},
-		{Label: "bad", Run: func(context.Context) error { return boom }},
-		{Label: "never", Run: func(context.Context) error { ran++; return nil }},
+	cells := []sweepCell{
+		{label: "ok", run: func(context.Context) error { ran++; return nil }},
+		{label: "bad", run: func(context.Context) error { return boom }},
+		{label: "never", run: func(context.Context) error { ran++; return nil }},
 	}
-	err := RunSweep(context.Background(), cells)
+	err := runSweep(context.Background(), Options{}, cells)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
+	}
+	if !strings.Contains(err.Error(), "bad") {
+		t.Fatalf("err = %v, want the failing cell's label", err)
 	}
 	if ran != 1 {
 		t.Fatalf("%d cells ran after the failure, want sweep aborted", ran)
 	}
 }
 
-// TestAESGridSweepPlannerStoreByteIdentical is the tentpole's determinism
-// contract: the grid report is byte-identical with the planner and the
-// persistent store in every on/off combination, at sequential and parallel
+// TestAESGridSweepPlannerStoreByteIdentical is the sweep's determinism
+// contract: the grid report is byte-identical with the warm cache and the
+// persistent store off, cold or warm, at sequential and parallel
 // Parallelism and at per-trial and auto BatchSize.
 func TestAESGridSweepPlannerStoreByteIdentical(t *testing.T) {
 	if testing.Short() {
@@ -264,7 +292,7 @@ func TestAESGridSweepPlannerStoreByteIdentical(t *testing.T) {
 		return marshalReport(t, rep)
 	}
 
-	want := run(t, Options{Parallelism: 1, WarmCache: WarmCacheOff, Planner: PlannerOff}, nil)
+	want := run(t, Options{Parallelism: 1, WarmCache: WarmCacheOff}, nil)
 
 	dir := t.TempDir()
 	openStore := func(t *testing.T) *snapstore.Store {
@@ -280,12 +308,11 @@ func TestAESGridSweepPlannerStoreByteIdentical(t *testing.T) {
 		opts  Options
 		store bool
 	}{
-		{"planner-on", Options{WarmCache: WarmCacheOn, Planner: PlannerOn}, false},
-		{"planner-on-store-cold", Options{WarmCache: WarmCacheOn, Planner: PlannerOn}, true},
-		{"planner-on-store-warm", Options{WarmCache: WarmCacheOn, Planner: PlannerOn}, true},
-		{"planner-off-store-warm", Options{WarmCache: WarmCacheOn, Planner: PlannerOff}, true},
-		{"p1-batch1-store-warm", Options{Parallelism: 1, BatchSize: 1, WarmCache: WarmCacheOn, Planner: PlannerOn}, true},
-		{"p4-store-warm", Options{Parallelism: 4, WarmCache: WarmCacheOn, Planner: PlannerOn}, true},
+		{"planner-on", Options{WarmCache: WarmCacheOn}, false},
+		{"planner-on-store-cold", Options{WarmCache: WarmCacheOn}, true},
+		{"planner-on-store-warm", Options{WarmCache: WarmCacheOn}, true},
+		{"p1-batch1-store-warm", Options{Parallelism: 1, BatchSize: 1, WarmCache: WarmCacheOn}, true},
+		{"p4-store-warm", Options{Parallelism: 4, WarmCache: WarmCacheOn}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -294,7 +321,7 @@ func TestAESGridSweepPlannerStoreByteIdentical(t *testing.T) {
 				s = openStore(t) // fresh Open each run: the cold-process path
 			}
 			if got := run(t, tc.opts, s); got != want {
-				t.Errorf("report diverges from planner-off/store-off sequential baseline\ngot:  %s\nwant: %s", got, want)
+				t.Errorf("report diverges from the cache-off sequential baseline\ngot:  %s\nwant: %s", got, want)
 			}
 		})
 	}
@@ -306,7 +333,7 @@ func TestAESGridSweepPlannerStoreByteIdentical(t *testing.T) {
 	s := openStore(t)
 	SetSnapStore(s)
 	defer SetSnapStore(nil)
-	rep, err := AESGridSweep(ctx, Options{WarmCache: WarmCacheOn, Planner: PlannerOn}, trials, archs, seeds, nil)
+	rep, err := AESGridSweep(ctx, Options{WarmCache: WarmCacheOn}, trials, archs, seeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +366,7 @@ func TestAESGridSweepStoreUsesDeltaChains(t *testing.T) {
 		warm.reset()
 		SetSnapStore(s)
 		t.Cleanup(func() { SetSnapStore(nil) })
-		if _, err := AESGridSweep(ctx, Options{WarmCache: WarmCacheOn, Planner: PlannerOn}, 2, archs, seeds, nil); err != nil {
+		if _, err := AESGridSweep(ctx, Options{WarmCache: WarmCacheOn}, 2, archs, seeds, nil); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -373,8 +400,53 @@ func TestAESGridSweepStoreUsesDeltaChains(t *testing.T) {
 	}
 }
 
+// TestAESGridSweepRepeatedPrefix: a grid whose seeds repeat a prefix
+// non-adjacently runs in input order — the repeat restores the resident
+// checkpoint instead of retraining — and reproduces the cache-off report.
+// Groups count runs of consecutive same-prefix cells, so {101, 102, 101}
+// is three groups with nothing shared, and doubling the noise dimension
+// pairs each cell with an identical neighbour.
+func TestAESGridSweepRepeatedPrefix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long test")
+	}
+	ctx := context.Background()
+	archs := []bpu.Config{bpu.AlderLake}
+	seeds := []int64{101, 102, 101}
+	for _, tc := range []struct {
+		name                  string
+		noises                []float64
+		groups, cells, shared uint64
+	}{
+		{"seeds", nil, 3, 3, 0},
+		{"seeds-x-repeated-noise", []float64{0, 0}, 3, 6, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			warm.reset()
+			off, err := AESGridSweep(ctx, Options{Parallelism: 1, WarmCache: WarmCacheOff}, 2, archs, seeds, tc.noises)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := marshalReport(t, off)
+
+			installFakeStore(t)
+			on, err := AESGridSweep(ctx, Options{WarmCache: WarmCacheOn}, 2, archs, seeds, tc.noises)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := marshalReport(t, on); got != want {
+				t.Errorf("repeated-prefix sweep diverges:\ngot:  %s\nwant: %s", got, want)
+			}
+			if g, c, sh, _, _ := PlannerStats(); g != tc.groups || c != tc.cells || sh != tc.shared {
+				t.Errorf("sweep stats groups=%d cells=%d shared=%d, want %d/%d/%d", g, c, sh, tc.groups, tc.cells, tc.shared)
+			}
+		})
+	}
+}
+
 // TestAESNoiseSweepPlannerByteIdentical: the ladder shares one phase-1
-// prefix; routed through the planner it must reproduce the naive report.
+// prefix, so it runs as a single group behind one recovery and must
+// reproduce the cache-off report.
 func TestAESNoiseSweepPlannerByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long test")
@@ -382,25 +454,28 @@ func TestAESNoiseSweepPlannerByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	intensities := []float64{0, 0.004}
 	warm.reset()
-	off, err := AESNoiseSweep(ctx, Options{Parallelism: 1, WarmCache: WarmCacheOff, Planner: PlannerOff}, 2, 0.015, intensities)
+	off, err := AESNoiseSweep(ctx, Options{Parallelism: 1, WarmCache: WarmCacheOff}, 2, 0.015, intensities)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := marshalReport(t, off)
 	warm.reset()
-	on, err := AESNoiseSweep(ctx, Options{WarmCache: WarmCacheOn, Planner: PlannerOn}, 2, 0.015, intensities)
+	ResetPlannerStats()
+	defer ResetPlannerStats()
+	on, err := AESNoiseSweep(ctx, Options{WarmCache: WarmCacheOn}, 2, 0.015, intensities)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := marshalReport(t, on); got != want {
-		t.Errorf("planner-routed noise sweep diverges:\ngot:  %s\nwant: %s", got, want)
+		t.Errorf("cached noise sweep diverges:\ngot:  %s\nwant: %s", got, want)
 	}
-	if _, _, shared, _, _ := PlannerStats(); shared == 0 {
-		t.Error("noise ladder shared no prefix cells under the planner")
+	n := uint64(len(intensities))
+	if groups, cells, shared, _, _ := PlannerStats(); groups != 1 || cells != n || shared != n-1 {
+		t.Errorf("noise ladder ran as groups=%d cells=%d shared=%d, want 1/%d/%d", groups, cells, shared, n, n-1)
 	}
 }
 
-// TestAESLeakEvalStoreColdProcess: the §9 driver itself (no planner) must
+// TestAESLeakEvalStoreColdProcess: the §9 driver itself (no sweep) must
 // resume from the persistent store after a simulated process restart, with
 // a byte-identical report and zero phase-1 retraining.
 func TestAESLeakEvalStoreColdProcess(t *testing.T) {

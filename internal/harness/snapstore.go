@@ -22,7 +22,7 @@ import (
 // payload hash plus the snapshot envelope's own content hash before
 // anything is restored. A store hit is observationally identical to a local
 // recompute, so reports stay byte-identical with the store installed or
-// not — the planner invariance tests pin that.
+// not — the grid store invariance tests pin that.
 
 // SnapStore is the persistent tier's contract. Keys are canonical
 // WarmStateKey spellings (WarmStateKey.String). Load reports a verified

@@ -144,6 +144,18 @@ func (c *warmCache) get(key warmKey) (*warmEntry, bool) {
 	return it.e, true
 }
 
+// touch reports whether key is resident, marking it most-recently used.
+// Unlike get it is not a lookup and leaves the hit/miss counters alone.
+func (c *warmCache) touch(key warmKey) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	it, ok := c.items[key]
+	if ok {
+		c.order.MoveToFront(it.ele)
+	}
+	return ok
+}
+
 // putIfAbsent stores e under key unless another entry got there first,
 // evicting the least-recently-used entry when over capacity. The entry also
 // spills to the persistent snapshot store (outside the cache lock — Save is

@@ -108,9 +108,9 @@ func TestWarmCacheErrorsNotCached(t *testing.T) {
 func TestWarmCacheStats(t *testing.T) {
 	c := newWarmCache(4)
 	key := warmKey{kind: "t"}
-	c.get(key)                // miss
+	c.get(key) // miss
 	c.putIfAbsent(key, warmTestEntry(0))
-	c.get(key)                // hit
+	c.get(key) // hit
 	if _, err := c.do(key, func() (*warmEntry, error) { return nil, errors.New("unreachable") }); err != nil {
 		t.Fatal(err)
 	} // hit

@@ -277,17 +277,17 @@ func (m *Metrics) Expose(states map[State]int, queueDepth int, breakers map[stri
 		w("pathfinderd_sim_events_total{event=%q} %d\n", c.name, c.v)
 	}
 
-	// Sweep-planner and snapshot-store telemetry lives in process-global
-	// harness counters (the warm cache is shared across jobs), so it is read
-	// live at scrape time rather than accumulated per job here.
+	// Sweep and snapshot-store telemetry lives in process-global harness
+	// counters (the warm cache is shared across jobs), so it is read live
+	// at scrape time rather than accumulated per job here.
 	groups, cells, shared, pfHits, pfMisses := harness.PlannerStats()
-	w("# HELP pathfinderd_sweep_planner_groups_total shared-prefix groups executed by the sweep planner\n")
+	w("# HELP pathfinderd_sweep_planner_groups_total runs of consecutive same-prefix cells executed by grid sweeps\n")
 	w("# TYPE pathfinderd_sweep_planner_groups_total counter\n")
 	w("pathfinderd_sweep_planner_groups_total %d\n", groups)
-	w("# HELP pathfinderd_sweep_planner_cells_total sweep cells executed under the planner\n")
+	w("# HELP pathfinderd_sweep_planner_cells_total grid sweep cells executed\n")
 	w("# TYPE pathfinderd_sweep_planner_cells_total counter\n")
 	w("pathfinderd_sweep_planner_cells_total %d\n", cells)
-	w("# HELP pathfinderd_sweep_planner_shared_cells_total cells that reused a group's shared warm prefix instead of retraining\n")
+	w("# HELP pathfinderd_sweep_planner_shared_cells_total sweep cells that reused the previous cell's warm prefix instead of retraining\n")
 	w("# TYPE pathfinderd_sweep_planner_shared_cells_total counter\n")
 	w("pathfinderd_sweep_planner_shared_cells_total %d\n", shared)
 	w("# HELP pathfinderd_sweep_planner_prefetch_total pipelined prefix prefetches from the snapshot store, by result\n")

@@ -105,10 +105,10 @@ func TestHistogramExpositionCumulative(t *testing.T) {
 	}
 }
 
-// TestMetricsPlannerAndSnapStoreScrape runs a shared-prefix sweep against an
-// installed snapshot store and scrapes GET /metrics, pinning the planner and
-// store series a dashboard would alert on. The snapshot-store section must be
-// gated on a store actually being installed.
+// TestMetricsPlannerAndSnapStoreScrape runs a shared-prefix noise sweep
+// against an installed snapshot store and scrapes GET /metrics, pinning the
+// sweep and store series a dashboard would alert on. The snapshot-store
+// section must be gated on a store actually being installed.
 func TestMetricsPlannerAndSnapStoreScrape(t *testing.T) {
 	harness.SetSnapStore(nil)
 	harness.ResetPlannerStats()
@@ -142,16 +142,10 @@ func TestMetricsPlannerAndSnapStoreScrape(t *testing.T) {
 	harness.SetSnapStore(st)
 	defer harness.SetSnapStore(nil)
 
-	prefix := harness.WarmStateKey{Kind: "aes-phase1", Arch: "Alder Lake", PHRSize: 194, Prog: 0xabc, Seed: 1}
-	cells := make([]harness.SweepCell, 3)
-	for i := range cells {
-		cells[i] = harness.SweepCell{
-			Label:  fmt.Sprintf("cell-%d", i),
-			Prefix: prefix,
-			Run:    func(context.Context) error { return nil },
-		}
-	}
-	if err := harness.RunSweep(context.Background(), cells); err != nil {
+	// A three-point noise ladder shares one phase-1 prefix: one group of
+	// three cells, two of them riding the first one's training.
+	if _, err := harness.AESNoiseSweep(context.Background(), harness.Options{WarmCache: harness.WarmCacheOn},
+		1, 0, []float64{0, 0.001, 0.004}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -160,11 +154,13 @@ func TestMetricsPlannerAndSnapStoreScrape(t *testing.T) {
 		"pathfinderd_sweep_planner_groups_total":       1,
 		"pathfinderd_sweep_planner_cells_total":        3,
 		"pathfinderd_sweep_planner_shared_cells_total": 2,
-		"pathfinderd_snapshot_store_entries":           0,
 	} {
 		if got := metricValue(t, exp, sample); got != want {
 			t.Errorf("%s = %d, want %d", sample, got, want)
 		}
+	}
+	if got := metricValue(t, exp, "pathfinderd_snapshot_store_entries"); got == 0 {
+		t.Error("pathfinderd_snapshot_store_entries = 0, want the sweep's spilled checkpoints")
 	}
 	for _, sample := range []string{
 		`pathfinderd_sweep_planner_prefetch_total{result="hit"}`,

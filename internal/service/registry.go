@@ -47,9 +47,9 @@ type Params struct {
 	Intensities []float64 `json:"intensities,omitempty"`
 
 	// Archs, Seeds and Noises are the aes_grid sweep dimensions — the grid
-	// driver runs the §9 evaluation at every (arch, seed, noise) cell
-	// through the shared-prefix sweep planner. Empty dimensions fall back
-	// to the experiment defaults. Noises are literal transient-collapse
+	// driver runs the §9 evaluation at every (arch, seed, noise) cell in
+	// grid order, prefetching each cell's training prefix from the snapshot
+	// store. Empty dimensions fall back to the experiment defaults. Noises are literal transient-collapse
 	// probabilities (0 means noiseless; no sentinel).
 	Archs  []string  `json:"archs,omitempty"`
 	Seeds  []int64   `json:"seeds,omitempty"`
@@ -395,7 +395,7 @@ func NewRegistry() *Registry {
 
 	reg(Experiment{
 		Name:        "aes_grid",
-		Description: "§9 batch: AES evaluation over an arch × seed × noise grid via the shared-prefix sweep planner",
+		Description: "§9 batch: AES evaluation over an arch × seed × noise grid, training prefixes prefetched from the snapshot store",
 		Defaults:    Params{Trials: 24, Archs: []string{"alderlake"}, Seeds: []int64{harness.DefaultAESSeed}, Noises: []float64{0}},
 		Run: func(ctx context.Context, p Params) (any, cpu.Counters, error) {
 			opts, err := p.harnessOptions()

@@ -53,8 +53,7 @@ var ErrDeltaBase = errors.New("wire: delta base hash mismatch")
 // fold on megabyte snapshots, which matters because the delta codec hashes
 // base, target and frame on every encode and decode. The value differs from
 // a byte-wise FNV-1a; it is only ever compared against itself — the PFWD
-// frame pins it for base, target and envelope, and transport code calls
-// HashBytes on candidate base blobs to match a frame's base pin.
+// frame pins it for base, target and envelope.
 func HashBytes(b []byte) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	for len(b) >= 8 {
@@ -65,33 +64,6 @@ func HashBytes(b []byte) uint64 {
 		h = (h ^ uint64(x)) * 0x100000001b3
 	}
 	return h
-}
-
-// IsDelta reports whether b starts with the PFWD magic — the one-line probe
-// transport code uses to tell a delta frame from a full PFSN blob.
-func IsDelta(b []byte) bool {
-	return len(b) >= 4 && string(b[:4]) == deltaMagic
-}
-
-// DeltaInfo peeks a frame's pinned hashes and target length without
-// decoding the runs. ok is false when b is not a structurally plausible
-// PFWD frame.
-func DeltaInfo(b []byte) (baseHash, targetHash uint64, targetLen int, ok bool) {
-	if len(b) < deltaHeaderLen || string(b[:4]) != deltaMagic {
-		return 0, 0, 0, false
-	}
-	r := NewReader(b[4:])
-	if r.U16() != deltaVersion {
-		return 0, 0, 0, false
-	}
-	_ = r.U64() // envelope hash; verified by DecodeDelta
-	baseHash = r.U64()
-	targetHash = r.U64()
-	targetLen = int(r.U32())
-	if r.Err() != nil || targetLen < 0 || targetLen > maxDeltaTarget {
-		return 0, 0, 0, false
-	}
-	return baseHash, targetHash, targetLen, true
 }
 
 // EncodeDelta renders target as a PFWD frame against base. The result is

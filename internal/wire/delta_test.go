@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -17,6 +20,17 @@ func mutate(base []byte, rng *rand.Rand, edits int, grow int) []byte {
 	for i := 0; i < grow; i++ {
 		out = append(out, byte(rng.Intn(256)))
 	}
+	return out
+}
+
+// damageTargetHash returns a copy of frame with one bit of its pinned
+// target hash flipped and the envelope hash recomputed, so the damage gets
+// past the envelope check and only the target pin can catch it.
+func damageTargetHash(frame []byte) []byte {
+	const envOff, targetOff = 4 + 2, 4 + 2 + 8 + 8
+	out := append([]byte(nil), frame...)
+	out[targetOff] ^= 1
+	binary.LittleEndian.PutUint64(out[envOff:], HashBytes(out[envOff+8:]))
 	return out
 }
 
@@ -44,12 +58,13 @@ func TestDeltaRoundTrip(t *testing.T) {
 				b = nil
 			}
 			d := EncodeDelta(b, tc.target)
-			if !IsDelta(d) {
-				t.Fatalf("encoded frame lacks magic")
+			// The frame pins both endpoints: a different base is refused as
+			// ErrDeltaBase, a damaged target hash as a failed decode.
+			if _, err := DecodeDelta(append(append([]byte(nil), b...), 0), d); !errors.Is(err, ErrDeltaBase) {
+				t.Fatalf("DecodeDelta against a different base = %v, want ErrDeltaBase", err)
 			}
-			bh, th, n, ok := DeltaInfo(d)
-			if !ok || bh != HashBytes(b) || th != HashBytes(tc.target) || n != len(tc.target) {
-				t.Fatalf("DeltaInfo = (%x, %x, %d, %v)", bh, th, n, ok)
+			if _, err := DecodeDelta(b, damageTargetHash(d)); err == nil || !strings.Contains(err.Error(), "reconstructed target") {
+				t.Fatalf("DecodeDelta with a damaged target hash = %v, want the target-pin error", err)
 			}
 			got, err := DecodeDelta(b, d)
 			if err != nil {
