@@ -9,8 +9,8 @@ import (
 // allOpsProgram touches every ISA mnemonic the machine implements — scalar
 // ALU, byte/word/vector memory, AES rounds, timed loads around a flush, all
 // control-transfer kinds (conditional both ways, Brz, Jmp, Call/Ret, Jr,
-// Syscall, EEnter) and IBPB — so the dense engine's dispatch and the scalar
-// interpreter can be compared arm by arm on one run.
+// Syscall, EEnter) and IBPB — so every dispatch arm of the engine runs in one
+// program.
 func allOpsProgram(t testing.TB) *isa.Program {
 	t.Helper()
 	a := isa.NewAssembler()
@@ -83,40 +83,44 @@ func allOpsProgram(t testing.TB) *isa.Program {
 	return p
 }
 
-// TestAllOpcodesDenseMatchesScalar runs the all-mnemonic program on the
-// dense engine and the scalar interpreter and requires identical
-// architectural and predictor-visible state: every dispatch arm of the
-// flattened dense switch must be observationally equal to its scalar twin,
-// including the cold paths (stub transfers under IBRS, IBPB, indirect jumps).
-func TestAllOpcodesDenseMatchesScalar(t *testing.T) {
+// setupAllOps prepares a machine for allOpsProgram: the indirect-jump
+// target the program loads from 0x9000, both stub registrations, and IBRS so
+// the kernel entry exercises the indirect-predictor flush inside enterStub.
+func setupAllOps(m *Machine, p *isa.Program) {
+	m.IBRS = true
+	m.Mem.Write64(0x9000, p.MustSymbol("after_jr"))
+	m.RegisterKernelStub(1, "kstub")
+	m.RegisterEnclaveStub(2, "estub")
+}
+
+// TestAllOpcodesLaneMatchesStandalone runs the all-mnemonic program on a
+// standalone machine and on an arena lane of a batch and requires identical
+// architectural and predictor-visible state: no dispatch arm, cold paths
+// (stub transfers under IBRS, IBPB, indirect jumps) included, may observe
+// arena placement. The engine goldens pin the program's exact outcome.
+func TestAllOpcodesLaneMatchesStandalone(t *testing.T) {
 	p := allOpsProgram(t)
-	run := func(scalar bool) *Machine {
-		m := New(Options{Seed: 42, Scalar: scalar})
-		m.IBRS = true // exercise the IBRS predictor flush inside enterStub
-		m.Mem.Write64(0x9000, p.MustSymbol("after_jr"))
-		m.RegisterKernelStub(1, "kstub")
-		m.RegisterEnclaveStub(2, "estub")
+	opts := Options{Seed: 42}
+	run := func(m *Machine) *Machine {
+		setupAllOps(m, p)
 		if err := m.Run(p, "main"); err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	den := run(false)
-	sc := run(true)
-	if !den.denseEligible() {
-		t.Fatal("dense machine fell back to the scalar interpreter")
-	}
-	compareLanes(t, "dense-vs-scalar", 0, den, sc)
+	solo := run(New(opts))
+	lane := run(NewBatch(opts, 3).Lane(2))
+	compareLanes(t, "lane-vs-standalone", 2, lane, solo)
 	for v := 0; v < isa.NumVRegs; v++ {
-		if got, want := den.Hart(0).VReg(isa.VReg(v)), sc.Hart(0).VReg(isa.VReg(v)); got != want {
-			t.Errorf("V%d: dense %x, scalar %x", v, got, want)
+		if got, want := lane.Hart(0).VReg(isa.VReg(v)), solo.Hart(0).VReg(isa.VReg(v)); got != want {
+			t.Errorf("V%d: lane %x, standalone %x", v, got, want)
 		}
 	}
-	if got, want := den.Snapshot().Hash(), sc.Snapshot().Hash(); got != want {
-		t.Errorf("snapshot hash: dense %#x, scalar %#x", got, want)
+	if got, want := lane.Snapshot().Hash(), solo.Snapshot().Hash(); got != want {
+		t.Errorf("snapshot hash: lane %#x, standalone %#x", got, want)
 	}
 	// The stub handlers really ran, in their own domains, and returned.
-	h := den.Hart(0)
+	h := solo.Hart(0)
 	if h.Reg(isa.Reg(23)) != 7 || h.Reg(isa.Reg(24)) != 1 || h.Reg(isa.Reg(25)) != 1 {
 		t.Errorf("leaf/kstub/estub side effects missing: R23=%d R24=%d R25=%d",
 			h.Reg(isa.Reg(23)), h.Reg(isa.Reg(24)), h.Reg(isa.Reg(25)))
@@ -161,9 +165,7 @@ func TestMachineAccessors(t *testing.T) {
 	}
 
 	p := allOpsProgram(t)
-	m.Mem.Write64(0x9000, p.MustSymbol("after_jr"))
-	m.RegisterKernelStub(1, "kstub")
-	m.RegisterEnclaveStub(2, "estub")
+	setupAllOps(m, p)
 	if err := m.Run(p, "main"); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"pathfinder/internal/bpu"
@@ -11,12 +12,13 @@ import (
 	"pathfinder/internal/trace"
 )
 
-// This file is the differential harness pinning the batch/dense engine to the
-// scalar interpreter and the refmodel oracle: a byte-directed program
-// generator, a three-way per-trial comparison (dense batch lanes vs
-// Options.Scalar vs refmodel-backed machines), and a stimulus recorder that
-// replays every branch the program executed through trace.Diff for
-// first-divergence state dumps.
+// This file is the differential harness pinning the engine to the refmodel
+// oracle: a byte-directed program generator, a three-way per-trial
+// comparison (batch arena lanes vs standalone machines vs refmodel-backed
+// machines, each with fault injection off and on), and a stimulus recorder
+// that replays every branch the program executed through trace.Diff for
+// first-divergence state dumps. The engine goldens (engine_golden_test.go)
+// pin the exact outcomes on the same corpus.
 
 // fuzzRd dispenses generator decisions from fuzzer bytes, cycling so short
 // (or empty) inputs still drive a full program.
@@ -114,8 +116,8 @@ func fuzzProgram(data []byte) (*isa.Program, error) {
 	return a.Assemble()
 }
 
-// fuzzKs are the batch widths the differential suite exercises: the scalar
-// degenerate, tiny, odd (partial final arena group) and wide cases.
+// fuzzKs are the batch widths the differential suite exercises: the
+// single-lane degenerate, tiny, odd (partial final arena group) and wide cases.
 var fuzzKs = [...]int{1, 2, 7, 64}
 
 const fuzzStepLimit = 1 << 20
@@ -150,7 +152,7 @@ func compareLanes(t *testing.T, label string, lane int, got, want *Machine) {
 
 // recordingPred wraps the production CBP and logs every committed
 // conditional branch. Predictions pass through unchanged, so the recording
-// run executes exactly like a production scalar run.
+// run executes exactly like a production run.
 type recordingPred struct {
 	bpu.Predictor
 	log *[]trace.Branch
@@ -161,7 +163,7 @@ func (r recordingPred) Update(pc uint64, h phr.History, taken bool, p bpu.Predic
 	r.Predictor.Update(pc, h, taken, p)
 }
 
-// recordStream replays the program on an instrumented scalar machine and
+// recordStream replays the program on an instrumented machine and
 // returns the full branch stimulus it committed: conditional branches from
 // the predictor's Update stream, targets and unconditional transfers from
 // the TraceTaken hook. Transient execution never calls Update or TraceTaken,
@@ -186,10 +188,13 @@ func recordStream(t *testing.T, prog *isa.Program, o Options) []trace.Branch {
 	return log
 }
 
-// diffBatchVsScalar is the core differential check: K batch lanes on the
-// dense engine against per-trial scalar-interpreter and refmodel-oracle
-// machines, plus a trace.Diff replay of lane 0's recorded stimulus.
-func diffBatchVsScalar(t *testing.T, data []byte, archSel, kSel uint8) {
+// diffEngine is the core differential check on one generated program, with
+// fault injection off and on: K batch lanes (traced) against standalone New
+// machines (untraced) — arena placement and the trace hook must both be
+// unobservable — and against refmodel-oracle machines, which must agree on
+// architectural state, counters and the taken-branch trace. Lane 0's
+// recorded branch stimulus is replayed through trace.Diff as well.
+func diffEngine(t *testing.T, data []byte, archSel, kSel uint8) {
 	t.Helper()
 	cfg := bpu.Configs()[int(archSel)%3]
 	k := fuzzKs[int(kSel)%len(fuzzKs)]
@@ -197,92 +202,101 @@ func diffBatchVsScalar(t *testing.T, data []byte, archSel, kSel uint8) {
 	if err != nil {
 		t.Fatalf("generator produced an unassemblable program: %v", err)
 	}
-	laneOpts := func(scalar bool, lane int) Options {
-		return Options{Arch: cfg, Seed: 1000 + int64(lane), StepLimit: fuzzStepLimit, Scalar: scalar}
-	}
-
-	// Dense side: all K trials on one batch's arena lanes.
-	b := NewBatch(Options{Arch: cfg, StepLimit: fuzzStepLimit}, k)
-	denseErrs := make([]string, k)
-	denseHash := make([]uint64, k)
-	for i := 0; i < k; i++ {
-		m := b.Lane(i)
-		m.Recycle(laneOpts(false, i))
-		if !m.denseEligible() {
-			t.Fatal("hookless lane not eligible for the dense engine")
-		}
-		if err := m.Run(prog, "main"); err != nil {
-			denseErrs[i] = err.Error()
-		}
-		denseHash[i] = m.Snapshot().Hash()
-	}
-
-	for i := 0; i < k; i++ {
-		// Scalar interpreter oracle.
-		sm := New(laneOpts(true, i))
-		var serr string
-		if err := sm.Run(prog, "main"); err != nil {
-			serr = err.Error()
-		}
-		if serr != denseErrs[i] {
-			t.Fatalf("lane %d: dense error %q, scalar error %q", i, denseErrs[i], serr)
-		}
-		compareLanes(t, "dense vs scalar", i, b.Lane(i), sm)
-		if h := sm.Snapshot().Hash(); h != denseHash[i] {
-			t.Fatalf("lane %d: snapshot hash %#x (dense) != %#x (scalar) with identical architectural state:\n--- dense ---\n%s\n--- scalar ---\n%s",
-				i, denseHash[i], h, machineDump(b.Lane(i)), machineDump(sm))
-		}
-
-		// Refmodel oracle: bit-by-bit folds, map-backed tables. No snapshot
-		// (custom predictors cannot snapshot); architectural compare only.
-		ro := laneOpts(true, i)
-		ro.NewPredictor = refmodel.NewPredictor
-		rm := New(ro)
-		var rerr string
-		if err := rm.Run(prog, "main"); err != nil {
-			rerr = err.Error()
-		}
-		if rerr != denseErrs[i] {
-			t.Fatalf("lane %d: dense error %q, refmodel error %q", i, denseErrs[i], rerr)
-		}
-		if rm.Stats() != b.Lane(i).Stats() {
-			t.Fatalf("lane %d: dense vs refmodel counters differ: %+v vs %+v",
-				i, b.Lane(i).Stats(), rm.Stats())
-		}
-		for r := 0; r < isa.NumRegs; r++ {
-			if g, w := b.Lane(i).Hart(0).Reg(isa.Reg(r)), rm.Hart(0).Reg(isa.Reg(r)); g != w {
-				t.Fatalf("lane %d: dense vs refmodel R%d = %#x, want %#x", i, r, g, w)
+	for _, faulted := range []bool{false, true} {
+		laneOpts := func(lane int) Options {
+			o := Options{Arch: cfg, Seed: 1000 + int64(lane), StepLimit: fuzzStepLimit}
+			if faulted {
+				o.Faults = goldenFaults()
 			}
+			return o
 		}
-		if !b.Lane(i).Hart(0).PHR.Equal(rm.Hart(0).PHR) {
-			t.Fatalf("lane %d: dense vs refmodel history registers differ", i)
+		label := fmt.Sprintf("faults=%v", faulted)
+		run := func(m *Machine) (errStr string, taken [][2]uint64) {
+			taken = [][2]uint64{}
+			m.TraceTaken = func(pc, target uint64) { taken = append(taken, [2]uint64{pc, target}) }
+			if err := m.Run(prog, "main"); err != nil {
+				errStr = err.Error()
+			}
+			return errStr, taken
+		}
+
+		// All K trials on one batch's arena lanes.
+		b := NewBatch(Options{Arch: cfg, StepLimit: fuzzStepLimit}, k)
+		laneErrs := make([]string, k)
+		laneTrace := make([][][2]uint64, k)
+		laneHash := make([]uint64, k)
+		for i := 0; i < k; i++ {
+			m := b.Lane(i)
+			m.Recycle(laneOpts(i))
+			laneErrs[i], laneTrace[i] = run(m)
+			if n := uint64(len(laneTrace[i])); n != m.Stats().TakenBranches {
+				t.Fatalf("lane %d %s: trace hook saw %d taken branches, counters %d", i, label, n, m.Stats().TakenBranches)
+			}
+			laneHash[i] = m.Snapshot().Hash()
+		}
+
+		for i := 0; i < k; i++ {
+			lane := b.Lane(i)
+			sm := New(laneOpts(i))
+			var serr string
+			if err := sm.Run(prog, "main"); err != nil {
+				serr = err.Error()
+			}
+			if serr != laneErrs[i] {
+				t.Fatalf("lane %d %s: lane error %q, standalone error %q", i, label, laneErrs[i], serr)
+			}
+			compareLanes(t, "lane vs standalone "+label, i, lane, sm)
+			if h := sm.Snapshot().Hash(); h != laneHash[i] {
+				t.Fatalf("lane %d %s: snapshot hash %#x (lane) != %#x (standalone) with identical architectural state:\n--- lane ---\n%s\n--- standalone ---\n%s",
+					i, label, laneHash[i], h, machineDump(lane), machineDump(sm))
+			}
+
+			// Refmodel oracle: bit-by-bit folds, map-backed tables. No
+			// snapshot (custom predictors cannot snapshot); architectural
+			// compare only.
+			ro := laneOpts(i)
+			ro.NewPredictor = refmodel.NewPredictor
+			rm := New(ro)
+			rerr, rtrace := run(rm)
+			if rerr != laneErrs[i] {
+				t.Fatalf("lane %d %s: lane error %q, refmodel error %q", i, label, laneErrs[i], rerr)
+			}
+			if rm.Stats() != lane.Stats() {
+				t.Fatalf("lane %d %s: lane vs refmodel counters differ: %+v vs %+v", i, label, lane.Stats(), rm.Stats())
+			}
+			for r := 0; r < isa.NumRegs; r++ {
+				if g, w := lane.Hart(0).Reg(isa.Reg(r)), rm.Hart(0).Reg(isa.Reg(r)); g != w {
+					t.Fatalf("lane %d %s: lane vs refmodel R%d = %#x, want %#x", i, label, r, g, w)
+				}
+			}
+			if !lane.Hart(0).PHR.Equal(rm.Hart(0).PHR) {
+				t.Fatalf("lane %d %s: lane vs refmodel history registers differ", i, label)
+			}
+			if !reflect.DeepEqual(rtrace, laneTrace[i]) {
+				t.Fatalf("lane %d %s: lane vs refmodel taken-branch traces differ", i, label)
+			}
 		}
 	}
 
 	// Replay lane 0's exact branch stimulus through the lockstep
 	// differential: on divergence trace.Diff dumps the first bad step with
-	// full predictor state from both implementations.
-	stream := recordStream(t, prog, laneOpts(true, 0))
+	// full predictor state from both implementations. Faults stay off here:
+	// injected PHR pollution and training aliasing are invisible in the
+	// stimulus stream the replay rebuilds history from.
+	stream := recordStream(t, prog, Options{Arch: cfg, Seed: 1000, StepLimit: fuzzStepLimit})
 	if d := trace.Diff(trace.NewModel(cfg), trace.NewOracle(cfg), stream); d != nil {
 		t.Fatalf("production model diverged from refmodel oracle on the recorded stimulus:\n%s", d)
 	}
 }
 
-// TestBatchVsScalarParity runs the differential over a fixed corpus at every
+// TestEngineParity runs the differential over the parity corpus at every
 // batch width, so the equivalence contract is checked on every plain `go
 // test` run, not only under the fuzzer.
-func TestBatchVsScalarParity(t *testing.T) {
-	corpus := [][]byte{
-		nil,
-		{5, 1, 5, 0, 5, 1},
-		{7, 3, 9, 250, 4, 4, 5, 6, 7, 8, 9, 0, 1, 2},
-		{200, 199, 198, 5, 5, 5, 6, 6, 6, 9, 9, 9, 7, 7},
-		{13, 42, 99, 5, 250, 17, 6, 88, 3, 1, 4, 1, 5, 9, 2, 6},
-	}
-	for ci, data := range corpus {
+func TestEngineParity(t *testing.T) {
+	for ci, data := range parityCorpus {
 		for kSel := range fuzzKs {
 			t.Run(fmt.Sprintf("corpus%d/K%d", ci, fuzzKs[kSel]), func(t *testing.T) {
-				diffBatchVsScalar(t, data, uint8(ci), uint8(kSel))
+				diffEngine(t, data, uint8(ci), uint8(kSel))
 			})
 		}
 	}
@@ -395,13 +409,13 @@ func TestMidBatchSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzBatchVsScalar lets the fuzzer choose the program, microarchitecture
-// and batch width, then requires the dense batch engine, the scalar
-// interpreter and the refmodel oracle to agree on every trial. Run locally
-// with:
+// FuzzEngineVsOracle lets the fuzzer choose the program, microarchitecture
+// and batch width, then requires batch lanes, standalone machines and the
+// refmodel oracle to agree on every trial, with and without fault and trace
+// hooks. Run locally with:
 //
-//	go test ./internal/cpu -run='^$' -fuzz=FuzzBatchVsScalar -fuzztime=30s
-func FuzzBatchVsScalar(f *testing.F) {
+//	go test ./internal/cpu -run='^$' -fuzz=FuzzEngineVsOracle -fuzztime=30s
+func FuzzEngineVsOracle(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0))
 	f.Add([]byte{5, 1, 5, 0, 5, 1}, uint8(1), uint8(1))
 	f.Add([]byte{7, 3, 9, 250, 4, 4, 5, 6, 7, 8, 9, 0, 1, 2}, uint8(2), uint8(2))
@@ -410,7 +424,7 @@ func FuzzBatchVsScalar(f *testing.F) {
 		if len(data) > 1<<12 {
 			return // bound per-input work; program shape saturates well before this
 		}
-		diffBatchVsScalar(t, data, archSel, kSel)
+		diffEngine(t, data, archSel, kSel)
 	})
 }
 

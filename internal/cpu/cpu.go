@@ -19,7 +19,6 @@ package cpu
 import (
 	"fmt"
 
-	"pathfinder/internal/aes"
 	"pathfinder/internal/bpu"
 	"pathfinder/internal/cache"
 	"pathfinder/internal/faultinject"
@@ -162,14 +161,9 @@ type Options struct {
 	// cache-eviction pressure and latency jitter on memory accesses. The
 	// injector is seeded from Seed (plus the profile's Salt), so faulted
 	// runs keep the machine's determinism contract. A nil or disabled
-	// profile leaves every hot path untouched.
+	// profile builds no injector, and the engine's fault sites reduce to
+	// untaken nil checks.
 	Faults *faultinject.Profile
-
-	// Scalar forces the reference scalar interpreter even when a run is
-	// eligible for the dense engine (see dense.go). The differential tests
-	// use it as the oracle side of batch-vs-scalar comparisons; production
-	// callers leave it false.
-	Scalar bool
 }
 
 // Machine is a physical core: shared branch prediction unit, shared cache
@@ -182,8 +176,10 @@ type Machine struct {
 	IBRS bool // when set, entering the kernel flushes indirect predictors
 
 	// TraceTaken, when non-nil, observes every architecturally taken branch
-	// (pc, target) in execution order. Experiments use it to compute
-	// ground-truth path history; attacks never do.
+	// (pc, target) in execution order, just before the branch updates the
+	// PHR. Experiments use it to compute ground-truth path history; attacks
+	// never do. It runs inside the engine loop and must not call back into
+	// the machine.
 	TraceTaken func(pc, target uint64)
 
 	// Aux is an opaque slot for higher layers to attach per-machine caches
@@ -199,7 +195,7 @@ type Machine struct {
 	stats  Counters
 	perPC  map[uint64]*BranchStat
 	progs  map[*isa.Program]*progState
-	tscr   transientState   // reused wrong-path sandbox (exec is not reentrant)
+	tscr   transientState   // reused wrong-path sandbox (execDense is not reentrant)
 	kstubs map[int64]string // syscall number -> entry label
 	estubs map[int64]string // enclave number -> entry label
 
@@ -216,12 +212,12 @@ type Machine struct {
 
 // progState is decoded per-(machine, program) interpreter state: the
 // per-instruction branch-stat references that replace the per-execution
-// map probe, and the dense predecoded stream the fast engine dispatches
-// over. A stat reference is validated against the instruction's current
-// address, so program templates that re-address instructions in place
-// (internal/core's patched attack programs) self-heal on first use; the
-// dense stream is validated against Program.Version, which Reindex bumps
-// after every in-place mutation.
+// map probe, and the dense predecoded stream the engine dispatches over. A
+// stat reference is validated against the instruction's current address, so
+// program templates that re-address instructions in place (internal/core's
+// patched attack programs) self-heal on first use; the dense stream is
+// validated against Program.Version, which Reindex bumps after every
+// in-place mutation.
 type progState struct {
 	stats        []statRef
 	dense        []denseInstr
@@ -496,25 +492,27 @@ func (m *Machine) RunOn(hartID int, prog *isa.Program, entry string) error {
 		// the hart's history before the first instruction executes.
 		m.inj.RunBoundary(h.PHR)
 	}
-	if m.denseEligible() {
-		return m.execDense(h, prog, idx)
-	}
-	return m.exec(h, prog, idx)
+	return m.execDense(h, prog, idx)
 }
 
-// access routes one data-cache access through the fault-injection layer:
-// eviction pressure may knock out a pseudo-random line afterwards, and the
-// observed latency may jitter by a few cycles. Without an armed injector it
-// is exactly m.Data.Access.
+// access routes one data-cache access through the fault-injection layer.
+// Without an armed injector it is exactly m.Data.Access.
 func (m *Machine) access(addr uint64) int {
 	lat, _ := m.Data.Access(addr)
 	if m.inj != nil {
-		if r, ok := m.inj.CacheEvict(); ok {
-			m.Data.EvictNth(r)
-		}
-		lat = m.inj.JitterLatency(lat)
+		lat = m.faultAccess(lat)
 	}
 	return lat
+}
+
+// faultAccess applies the armed injector's post-access faults: eviction
+// pressure may knock out a pseudo-random line, and the observed latency may
+// jitter by a few cycles. It returns the latency to report.
+func (m *Machine) faultAccess(lat int) int {
+	if r, ok := m.inj.CacheEvict(); ok {
+		m.Data.EvictNth(r)
+	}
+	return m.inj.JitterLatency(lat)
 }
 
 func (m *Machine) branchStat(pc uint64) *BranchStat {
@@ -526,234 +524,9 @@ func (m *Machine) branchStat(pc uint64) *BranchStat {
 	return s
 }
 
-// takenBranch applies the PHR update shared by every taken branch and
-// keeps the BTB warm for direct branches.
-func (m *Machine) takenBranch(h *Hart, pc, target uint64, direct bool) {
-	if m.TraceTaken != nil {
-		m.TraceTaken(pc, target)
-	}
-	h.PHR.UpdateBranch(pc, target)
-	if m.inj != nil {
-		// Context switches land at asynchronous points during execution: the
-		// injector may fold a burst of attacker-invisible branches into the
-		// PHR right here, between this branch and the next.
-		m.inj.BranchEvent(h.PHR)
-	}
-	m.stats.TakenBranches++
-	if direct {
-		m.BPU.BTB.Insert(pc, target)
-	} else {
-		m.BPU.IBP.Insert(pc, h.PHR, target)
-	}
-}
-
-func (m *Machine) exec(h *Hart, prog *isa.Program, idx int) error {
-	ps := m.progState(prog)
-	steps := uint64(0)
-	for {
-		if idx < 0 || idx >= len(prog.Instrs) {
-			return fmt.Errorf("cpu: execution ran off the program (index %d)", idx)
-		}
-		if steps >= m.opts.StepLimit {
-			return fmt.Errorf("cpu: step limit %d exceeded at %#x", m.opts.StepLimit, prog.Instrs[idx].Addr)
-		}
-		steps++
-		m.stats.Instructions++
-		m.stats.Cycles++
-		in := &prog.Instrs[idx]
-
-		switch in.Op {
-		case isa.NOP:
-		case isa.HALT:
-			return nil
-
-		case isa.MOVI:
-			h.regs[in.Rd] = uint64(in.Imm)
-			h.ready[in.Rd] = m.stats.Cycles
-		case isa.MOV:
-			h.regs[in.Rd] = h.regs[in.Rs]
-			h.ready[in.Rd] = maxu(m.stats.Cycles, h.ready[in.Rs])
-		case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.MUL:
-			h.regs[in.Rd] = alu(in.Op, h.regs[in.Rs], h.regs[in.Rt])
-			h.ready[in.Rd] = maxu(m.stats.Cycles, maxu(h.ready[in.Rs], h.ready[in.Rt]))
-		case isa.ADDI:
-			h.regs[in.Rd] = h.regs[in.Rs] + uint64(in.Imm)
-			h.ready[in.Rd] = maxu(m.stats.Cycles, h.ready[in.Rs])
-		case isa.XORI:
-			h.regs[in.Rd] = h.regs[in.Rs] ^ uint64(in.Imm)
-			h.ready[in.Rd] = maxu(m.stats.Cycles, h.ready[in.Rs])
-		case isa.SHLI:
-			h.regs[in.Rd] = h.regs[in.Rs] << uint64(in.Imm)
-			h.ready[in.Rd] = maxu(m.stats.Cycles, h.ready[in.Rs])
-		case isa.SHRI:
-			h.regs[in.Rd] = h.regs[in.Rs] >> uint64(in.Imm)
-			h.ready[in.Rd] = maxu(m.stats.Cycles, h.ready[in.Rs])
-
-		case isa.LD, isa.LDB, isa.TIMEDLD:
-			addr := h.regs[in.Rs] + uint64(in.Imm)
-			lat := m.access(addr)
-			switch in.Op {
-			case isa.LD:
-				h.regs[in.Rd] = m.Mem.Read64(addr)
-			case isa.LDB:
-				h.regs[in.Rd] = uint64(m.Mem.Read8(addr))
-			case isa.TIMEDLD:
-				h.regs[in.Rd] = uint64(lat)
-			}
-			h.ready[in.Rd] = m.stats.Cycles + uint64(lat)
-		case isa.ST:
-			m.access(h.regs[in.Rs] + uint64(in.Imm))
-			m.Mem.Write64(h.regs[in.Rs]+uint64(in.Imm), h.regs[in.Rt])
-		case isa.STB:
-			m.access(h.regs[in.Rs] + uint64(in.Imm))
-			m.Mem.Write8(h.regs[in.Rs]+uint64(in.Imm), byte(h.regs[in.Rt]))
-		case isa.CLFLUSH:
-			m.Data.Flush(h.regs[in.Rs] + uint64(in.Imm))
-
-		case isa.RAND:
-			h.regs[in.Rd] = h.rng.next()
-			h.ready[in.Rd] = m.stats.Cycles
-		case isa.RDCYCLE:
-			h.regs[in.Rd] = m.stats.Cycles
-			h.ready[in.Rd] = m.stats.Cycles
-
-		case isa.VLD:
-			addr := h.regs[in.Rs] + uint64(in.Imm)
-			m.access(addr)
-			h.vregs[in.Vd] = m.Mem.Read128(addr)
-		case isa.VST:
-			addr := h.regs[in.Rs] + uint64(in.Imm)
-			m.access(addr)
-			m.Mem.Write128(addr, h.vregs[in.Vd])
-		case isa.VXOR:
-			addr := h.regs[in.Rs] + uint64(in.Imm)
-			m.access(addr)
-			h.vregs[in.Vd] = aes.XorBlocks(h.vregs[in.Vd], m.Mem.Read128(addr))
-		case isa.AESENC:
-			addr := h.regs[in.Rs] + uint64(in.Imm)
-			m.access(addr)
-			h.vregs[in.Vd] = aes.EncRound(h.vregs[in.Vd], m.Mem.Read128(addr))
-		case isa.AESENCLAST:
-			addr := h.regs[in.Rs] + uint64(in.Imm)
-			m.access(addr)
-			h.vregs[in.Vd] = aes.EncLastRound(h.vregs[in.Vd], m.Mem.Read128(addr))
-
-		case isa.BR:
-			taken := in.Cond.Eval(h.regs[in.Rs], h.regs[in.Rt])
-			pred := m.cbp.Predict(in.Addr, h.PHR)
-			ref := &ps.stats[idx]
-			if ref.s == nil || ref.addr != in.Addr {
-				ref.addr, ref.s = in.Addr, m.branchStat(in.Addr)
-			}
-			st := ref.s
-			st.Executed++
-			m.stats.CondBranches++
-			if taken {
-				st.Taken++
-			}
-			if pred.Taken != taken {
-				st.Mispredicted++
-				m.stats.Mispredicts++
-				m.speculate(h, prog, idx, pred.Taken)
-				m.stats.Cycles += uint64(m.opts.MispredictPenalty)
-			}
-			if m.inj == nil {
-				m.cbp.Update(in.Addr, h.PHR, taken, pred)
-			} else if pc, ok := m.inj.TrainingTarget(in.Addr); ok {
-				// The injector may drop the training update (counter decay)
-				// or land it on an aliased PC (destructive interference).
-				m.cbp.Update(pc, h.PHR, taken, pred)
-			}
-			if taken {
-				m.takenBranch(h, in.Addr, in.Target, true)
-				ti := int(in.TargetIdx)
-				if ti < 0 {
-					var err error
-					if ti, err = targetIndex(prog, in, "branch"); err != nil {
-						return err
-					}
-				}
-				idx = ti
-				continue
-			}
-
-		case isa.JMP:
-			m.takenBranch(h, in.Addr, in.Target, true)
-			ti := int(in.TargetIdx)
-			if ti < 0 {
-				var err error
-				if ti, err = targetIndex(prog, in, "jmp"); err != nil {
-					return err
-				}
-			}
-			idx = ti
-			continue
-
-		case isa.CALL:
-			if idx+1 >= len(prog.Instrs) {
-				return fmt.Errorf("cpu: call at %#x has no return point", in.Addr)
-			}
-			h.stack = append(h.stack, frame{retIdx: idx + 1})
-			m.takenBranch(h, in.Addr, in.Target, true)
-			ti := int(in.TargetIdx)
-			if ti < 0 {
-				var err error
-				if ti, err = targetIndex(prog, in, "call"); err != nil {
-					return err
-				}
-			}
-			idx = ti
-			continue
-
-		case isa.RET:
-			if len(h.stack) == 0 {
-				return nil // return from the entry frame ends the run
-			}
-			f := h.stack[len(h.stack)-1]
-			h.stack = h.stack[:len(h.stack)-1]
-			if f.restoreDomain {
-				h.Domain = f.prevDomain
-			}
-			if f.retIdx < 0 || f.retIdx >= len(prog.Instrs) {
-				return nil
-			}
-			m.takenBranch(h, in.Addr, prog.Instrs[f.retIdx].Addr, false)
-			idx = f.retIdx
-			continue
-
-		case isa.JR:
-			target := h.regs[in.Rs]
-			ti, ok := prog.IndexOf(target)
-			if !ok {
-				return fmt.Errorf("cpu: jr at %#x to hole %#x", in.Addr, target)
-			}
-			m.takenBranch(h, in.Addr, target, false)
-			idx = ti
-			continue
-
-		case isa.SYSCALL, isa.EENTER:
-			ti, err := m.enterStub(h, prog, idx, in.Op, in.Imm, in.Addr)
-			if err != nil {
-				return err
-			}
-			idx = ti
-			continue
-
-		case isa.IBPB:
-			m.BPU.IBPB()
-
-		default:
-			return fmt.Errorf("cpu: unimplemented op %v at %#x", in.Op, in.Addr)
-		}
-		idx++
-	}
-}
-
 // enterStub performs a SYSCALL/EENTER domain transfer: it resolves the
 // registered stub, pushes a domain-restoring frame and switches the hart's
-// domain. Both the scalar and the dense engine call it, so the (cold)
-// transfer semantics and error strings cannot drift between them. It
-// returns the stub's program index.
+// domain. It returns the stub's program index.
 func (m *Machine) enterStub(h *Hart, prog *isa.Program, idx int, op isa.Op, imm int64, pc uint64) (int, error) {
 	stubs, dom := m.kstubs, Kernel
 	if op == isa.EENTER {
@@ -784,23 +557,6 @@ func (m *Machine) enterStub(h *Hart, prog *isa.Program, idx int, op isa.Op, imm 
 	}
 	h.Domain = dom
 	// The transfer itself is not PHR-visible; the stub's branches are.
-	return ti, nil
-}
-
-// targetIndex resolves a direct control transfer to its program index using
-// the assembler's pre-resolved TargetIdx, falling back to the address map
-// for hand-built Instr values.
-// targetIndex resolves a direct transfer's program index. The TargetIdx
-// fast path is duplicated at the call sites so the hot dispatch stays
-// inlinable; this slow path covers hand-built Instr values only.
-func targetIndex(prog *isa.Program, in *isa.Instr, kind string) (int, error) {
-	if ti := int(in.TargetIdx); ti >= 0 {
-		return ti, nil
-	}
-	ti, ok := prog.IndexOf(in.Target)
-	if !ok {
-		return 0, fmt.Errorf("cpu: %s at %#x to hole %#x", kind, in.Addr, in.Target)
-	}
 	return ti, nil
 }
 

@@ -4,29 +4,44 @@ import (
 	"fmt"
 
 	"pathfinder/internal/aes"
+	"pathfinder/internal/bpu"
 	"pathfinder/internal/isa"
 )
 
-// This file is the dense execution engine: a flattened-dispatch interpreter
-// over a predecoded instruction stream, used automatically for every run
-// that carries no observation hooks. It must be observationally identical
-// to the scalar interpreter in cpu.go — same architectural state, same
-// predictor and cache state, same counters, same error strings. The
-// differential suite (FuzzBatchVsScalar, the engine parity tests and the
-// golden end-to-end reports) pins that equivalence; when touching either
-// engine, change both.
+// This file is the machine's execution engine: a flattened-dispatch
+// interpreter over a predecoded instruction stream. Every architectural run
+// executes here; runTransient (transient.go) is the separate sandboxed
+// wrong-path model. The engine goldens (testdata/engine_golden.json, recorded
+// from the original scalar reference interpreter) pin its exact behaviour on
+// every hook combination, and FuzzEngineVsOracle holds it to the refmodel
+// oracle.
 //
-// What makes it faster than exec:
+// Why the stream is dense:
 //
 //   - denseInstr is 40 bytes against isa.Instr's 72 and drops the Sym
 //     string, so the dispatch loop walks a compact, pointer-free stream.
 //   - Direct control transfers are pre-resolved to program indices at
-//     decode time (exec re-resolves hand-built instructions per execution).
-//   - The predictor calls are the concrete bpu.CBP fast paths (PredictReg,
-//     UpdateReg), which devirtualize the fold and memo probes all the way
-//     down to *phr.Reg; exec goes through the bpu.Predictor interface.
+//     decode time, so hand-built instructions resolve once, not per run.
+//   - The built-in predictor is called through the concrete bpu.CBP fast
+//     paths (PredictReg, UpdateReg), which devirtualize the fold and memo
+//     probes all the way down to *phr.Reg.
 //   - Instruction and cycle counts accumulate in locals and are flushed to
 //     m.stats only around the cold paths that observe them.
+//
+// Hooks — the fault injector, the TraceTaken observer and an
+// Options.NewPredictor substitute — are hoisted into locals and guarded by
+// nil checks inline, so a hook-free run pays only predictable branches and
+// no out-of-line call. Armed hooks fire in a fixed order, which is what
+// keeps faulted runs deterministic:
+//
+//   - conditional branch: predict, speculate on a mispredict, then
+//     Injector.TrainingTarget filters the predictor update (trainHooked);
+//   - taken branch: TraceTaken, the PHR update, Injector.BranchEvent, then
+//     the BTB/IBP insert;
+//   - data access: the cache access, then Injector.CacheEvict and
+//     Injector.JitterLatency (faultAccess).
+
+// denseInstr is one predecoded instruction.
 type denseInstr struct {
 	addr      uint64
 	imm       int64
@@ -36,15 +51,6 @@ type denseInstr struct {
 	cond      isa.Cond
 	rd, rs    uint8
 	rt, vd    uint8
-}
-
-// denseEligible reports whether runs on this machine may use the dense
-// engine. Any observation or substitution hook forces the scalar
-// interpreter: fault injection and taken-branch tracing observe execution
-// at points the dense loop compiles away, and a custom predictor defeats
-// the concrete-CBP specialization.
-func (m *Machine) denseEligible() bool {
-	return !m.opts.Scalar && m.inj == nil && m.TraceTaken == nil && m.opts.NewPredictor == nil
 }
 
 // denseFor returns the predecoded stream for prog, rebuilding it when the
@@ -75,7 +81,7 @@ func (m *Machine) denseFor(ps *progState, prog *isa.Program) []denseInstr {
 		if d.targetIdx < 0 && (in.Op == isa.BR || in.Op == isa.JMP || in.Op == isa.CALL) {
 			// Hand-built instructions: resolve through the address map once
 			// at decode time instead of per execution. A hole stays -1 and
-			// errors at execution time, exactly when exec would.
+			// errors when the transfer executes.
 			if ti, ok := prog.IndexOf(in.Target); ok {
 				d.targetIdx = int32(ti)
 			}
@@ -86,12 +92,18 @@ func (m *Machine) denseFor(ps *progState, prog *isa.Program) []denseInstr {
 	return ps.dense
 }
 
-// execDense is the dense-engine counterpart of exec. See the file comment
-// for the equivalence contract.
+// execDense runs prog on hart h from program index idx until HALT, a
+// return from the entry frame, or an error. See the file comment for the
+// hook contract.
 func (m *Machine) execDense(h *Hart, prog *isa.Program, idx int) error {
 	ps := m.progState(prog)
 	code := m.denseFor(ps, prog)
 	cbp := m.BPU.CBP
+	inj, trace := m.inj, m.TraceTaken
+	var custom bpu.Predictor // non-nil only for an Options.NewPredictor machine
+	if m.opts.NewPredictor != nil {
+		custom = m.cbp
+	}
 	steps := uint64(0)
 	limit := m.opts.StepLimit
 	// Local counter images; flushStats writes them back before any cold
@@ -145,6 +157,9 @@ func (m *Machine) execDense(h *Hart, prog *isa.Program, idx int) error {
 		case isa.LD, isa.LDB, isa.TIMEDLD:
 			addr := h.regs[in.rs] + uint64(in.imm)
 			lat, _ := m.Data.Access(addr)
+			if inj != nil {
+				lat = m.faultAccess(lat)
+			}
 			switch in.op {
 			case isa.LD:
 				h.regs[in.rd] = m.Mem.Read64(addr)
@@ -155,11 +170,19 @@ func (m *Machine) execDense(h *Hart, prog *isa.Program, idx int) error {
 			}
 			h.ready[in.rd] = cycles + uint64(lat)
 		case isa.ST:
-			m.Data.Access(h.regs[in.rs] + uint64(in.imm))
-			m.Mem.Write64(h.regs[in.rs]+uint64(in.imm), h.regs[in.rt])
+			addr := h.regs[in.rs] + uint64(in.imm)
+			lat, _ := m.Data.Access(addr)
+			if inj != nil {
+				m.faultAccess(lat)
+			}
+			m.Mem.Write64(addr, h.regs[in.rt])
 		case isa.STB:
-			m.Data.Access(h.regs[in.rs] + uint64(in.imm))
-			m.Mem.Write8(h.regs[in.rs]+uint64(in.imm), byte(h.regs[in.rt]))
+			addr := h.regs[in.rs] + uint64(in.imm)
+			lat, _ := m.Data.Access(addr)
+			if inj != nil {
+				m.faultAccess(lat)
+			}
+			m.Mem.Write8(addr, byte(h.regs[in.rt]))
 		case isa.CLFLUSH:
 			m.Data.Flush(h.regs[in.rs] + uint64(in.imm))
 
@@ -172,28 +195,48 @@ func (m *Machine) execDense(h *Hart, prog *isa.Program, idx int) error {
 
 		case isa.VLD:
 			addr := h.regs[in.rs] + uint64(in.imm)
-			m.Data.Access(addr)
+			lat, _ := m.Data.Access(addr)
+			if inj != nil {
+				m.faultAccess(lat)
+			}
 			h.vregs[in.vd] = m.Mem.Read128(addr)
 		case isa.VST:
 			addr := h.regs[in.rs] + uint64(in.imm)
-			m.Data.Access(addr)
+			lat, _ := m.Data.Access(addr)
+			if inj != nil {
+				m.faultAccess(lat)
+			}
 			m.Mem.Write128(addr, h.vregs[in.vd])
 		case isa.VXOR:
 			addr := h.regs[in.rs] + uint64(in.imm)
-			m.Data.Access(addr)
+			lat, _ := m.Data.Access(addr)
+			if inj != nil {
+				m.faultAccess(lat)
+			}
 			h.vregs[in.vd] = aes.XorBlocks(h.vregs[in.vd], m.Mem.Read128(addr))
 		case isa.AESENC:
 			addr := h.regs[in.rs] + uint64(in.imm)
-			m.Data.Access(addr)
+			lat, _ := m.Data.Access(addr)
+			if inj != nil {
+				m.faultAccess(lat)
+			}
 			h.vregs[in.vd] = aes.EncRound(h.vregs[in.vd], m.Mem.Read128(addr))
 		case isa.AESENCLAST:
 			addr := h.regs[in.rs] + uint64(in.imm)
-			m.Data.Access(addr)
+			lat, _ := m.Data.Access(addr)
+			if inj != nil {
+				m.faultAccess(lat)
+			}
 			h.vregs[in.vd] = aes.EncLastRound(h.vregs[in.vd], m.Mem.Read128(addr))
 
 		case isa.BR:
 			taken := in.cond.Eval(h.regs[in.rs], h.regs[in.rt])
-			pred := cbp.PredictReg(in.addr, h.PHR)
+			var pred bpu.Prediction
+			if custom == nil {
+				pred = cbp.PredictReg(in.addr, h.PHR)
+			} else {
+				pred = custom.Predict(in.addr, h.PHR)
+			}
 			ref := &ps.stats[idx]
 			if ref.s == nil || ref.addr != in.addr {
 				ref.addr, ref.s = in.addr, m.branchStat(in.addr)
@@ -211,9 +254,19 @@ func (m *Machine) execDense(h *Hart, prog *isa.Program, idx int) error {
 				m.speculate(h, prog, idx, pred.Taken)
 				cycles = m.stats.Cycles + uint64(m.opts.MispredictPenalty)
 			}
-			cbp.UpdateReg(in.addr, h.PHR, taken, pred)
+			if inj == nil && custom == nil {
+				cbp.UpdateReg(in.addr, h.PHR, taken, pred)
+			} else {
+				m.trainHooked(in.addr, h, taken, pred)
+			}
 			if taken {
+				if trace != nil {
+					trace(in.addr, in.target)
+				}
 				h.PHR.UpdateBranch(in.addr, in.target)
+				if inj != nil {
+					inj.BranchEvent(h.PHR)
+				}
 				m.stats.TakenBranches++
 				m.BPU.BTB.Insert(in.addr, in.target)
 				if in.targetIdx < 0 {
@@ -225,7 +278,13 @@ func (m *Machine) execDense(h *Hart, prog *isa.Program, idx int) error {
 			}
 
 		case isa.JMP:
+			if trace != nil {
+				trace(in.addr, in.target)
+			}
 			h.PHR.UpdateBranch(in.addr, in.target)
+			if inj != nil {
+				inj.BranchEvent(h.PHR)
+			}
 			m.stats.TakenBranches++
 			m.BPU.BTB.Insert(in.addr, in.target)
 			if in.targetIdx < 0 {
@@ -241,7 +300,13 @@ func (m *Machine) execDense(h *Hart, prog *isa.Program, idx int) error {
 				return fmt.Errorf("cpu: call at %#x has no return point", in.addr)
 			}
 			h.stack = append(h.stack, frame{retIdx: idx + 1})
+			if trace != nil {
+				trace(in.addr, in.target)
+			}
 			h.PHR.UpdateBranch(in.addr, in.target)
+			if inj != nil {
+				inj.BranchEvent(h.PHR)
+			}
 			m.stats.TakenBranches++
 			m.BPU.BTB.Insert(in.addr, in.target)
 			if in.targetIdx < 0 {
@@ -266,7 +331,13 @@ func (m *Machine) execDense(h *Hart, prog *isa.Program, idx int) error {
 				return nil
 			}
 			target := code[f.retIdx].addr
+			if trace != nil {
+				trace(in.addr, target)
+			}
 			h.PHR.UpdateBranch(in.addr, target)
+			if inj != nil {
+				inj.BranchEvent(h.PHR)
+			}
 			m.stats.TakenBranches++
 			m.BPU.IBP.Insert(in.addr, h.PHR, target)
 			idx = f.retIdx
@@ -279,7 +350,13 @@ func (m *Machine) execDense(h *Hart, prog *isa.Program, idx int) error {
 				flushStats()
 				return fmt.Errorf("cpu: jr at %#x to hole %#x", in.addr, target)
 			}
+			if trace != nil {
+				trace(in.addr, target)
+			}
 			h.PHR.UpdateBranch(in.addr, target)
+			if inj != nil {
+				inj.BranchEvent(h.PHR)
+			}
 			m.stats.TakenBranches++
 			m.BPU.IBP.Insert(in.addr, h.PHR, target)
 			idx = ti
@@ -303,4 +380,19 @@ func (m *Machine) execDense(h *Hart, prog *isa.Program, idx int) error {
 		}
 		idx++
 	}
+}
+
+// trainHooked applies one conditional branch's predictor update on a machine
+// with an armed injector or a custom predictor: the injector may drop the
+// update (counter decay) or land it on an aliased PC (destructive
+// interference), and the update reaches the predictor through the
+// bpu.Predictor interface.
+func (m *Machine) trainHooked(pc uint64, h *Hart, taken bool, pred bpu.Prediction) {
+	if m.inj != nil {
+		var ok bool
+		if pc, ok = m.inj.TrainingTarget(pc); !ok {
+			return
+		}
+	}
+	m.cbp.Update(pc, h.PHR, taken, pred)
 }

@@ -95,9 +95,9 @@ func (t *transientState) write(addr uint64, bs ...byte) {
 
 // runTransient executes up to window instructions starting at startIdx on a
 // sandboxed state. Only the shared cache observes the execution. The sandbox
-// itself (m.tscr) is reused across mispredicts: exec is not reentrant, and a
-// nested transient BR only consults the predictor — it never speculates — so
-// a single scratch state per machine suffices.
+// itself (m.tscr) is reused across mispredicts: execDense is not reentrant,
+// and a nested transient BR only consults the predictor — it never
+// speculates — so a single scratch state per machine suffices.
 func (m *Machine) runTransient(h *Hart, prog *isa.Program, startIdx, window int) {
 	ts := &m.tscr
 	ts.regs = h.regs

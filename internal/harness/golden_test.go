@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"pathfinder/internal/faultinject"
 )
 
 // -update-golden regenerates the recorded driver reports under testdata/.
@@ -100,6 +102,31 @@ func TestGoldenAESLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenCompare(t, "golden_aesleak.json", rep)
+}
+
+// TestGoldenAESLeakFaulted pins the exact bytes of fault-injected reports.
+// Every injector hook (run-boundary and taken-branch PHR pollution, PHT
+// training drop and aliasing, cache eviction and latency jitter) draws in a
+// fixed order, so moving any call into the injector moves a report. At 8
+// trials the default profile's faults leave the report equal to the clean
+// one; the polluted arm is the one whose bytes the faults visibly change.
+func TestGoldenAESLeakFaulted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long test")
+	}
+	for _, c := range []struct {
+		golden string
+		prof   faultinject.Profile
+	}{
+		{"golden_aesleak_faulted.json", faultinject.Default()},
+		{"golden_aesleak_polluted.json", faultinject.Default().WithPollution(0.001, 8)},
+	} {
+		rep, err := AESLeakEval(context.Background(), Options{Faults: &c.prof}, 8, 0.015)
+		if err != nil {
+			t.Fatal(err)
+		}
+		goldenCompare(t, c.golden, rep)
+	}
 }
 
 func TestGoldenFig7(t *testing.T) {
