@@ -3,20 +3,18 @@ package core
 import (
 	"fmt"
 	"math/rand"
-
-	"pathfinder/internal/jpeg"
-	"pathfinder/internal/media"
 	"testing"
 
 	"pathfinder/internal/cpu"
 	"pathfinder/internal/isa"
+	"pathfinder/internal/jpeg"
+	"pathfinder/internal/media"
 	"pathfinder/internal/pathfinder"
-	"pathfinder/internal/phr"
 )
 
-// mimic the image victim shape in-package: loop with per-iteration secret
-// branch; big enough to exceed the window; junction-heavy via a 7-way
-// check chain converging on one label.
+// chainVictim mimics the image victim's shape in-package: a loop with a
+// per-iteration secret branch, long enough to exceed the window, and
+// junction-heavy through a seven-way check chain converging on one label.
 func chainVictim(trips int64, pattern []byte) Victim {
 	return Victim{
 		Entry: "victim",
@@ -48,34 +46,76 @@ func chainVictim(trips int64, pattern []byte) Victim {
 	}
 }
 
-func TestXDebugJunction(t *testing.T) {
+// captureTruth traces the capture run's taken branches on a fresh machine
+// and drops the clear chain, leaving the history the search recovers.
+func captureTruth(t *testing.T, seed int64, v Victim, capProg *isa.Program) []pathfinder.Step {
+	t.Helper()
+	m := cpu.New(cpu.Options{Seed: seed})
+	var truth []pathfinder.Step
+	m.TraceTaken = func(pc, tgt uint64) { truth = append(truth, pathfinder.Step{Addr: pc, Target: tgt, Taken: true}) }
+	if v.Setup != nil {
+		v.Setup(m)
+	}
+	if err := m.Run(capProg, "cap_main"); err != nil {
+		t.Fatal(err)
+	}
+	return truth[m.Arch().PHRSize:]
+}
+
+// climbAgainstTruth searches the window alone, climbs the suffix with the
+// PHT oracle and checks its first n steps (most recent first) against the
+// forward trace.
+func climbAgainstTruth(t *testing.T, seed int64, v Victim, n int) {
+	t.Helper()
+	m := cpu.New(cpu.Options{Seed: seed})
+	capProg, err := buildCaptureProgram(m, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := captureTruth(t, seed, v, capProg)
+	window, err := ReadPHR(m, v, ReadPHROptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := pathfinder.Build(capProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := capProg.MustSymbol("cap_call")
+	dag, err := cfg.SearchDAG(pathfinder.Spec{Observed: window, Entry: entry, Final: entry + 1, MaxReversals: window.Size()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	suffix, _, err := climbSuffix(m, v, capProg, window, dag, nil, ExtendedOptions{Rounds: 6, MaxUnknownRun: 3, Batch: 64}, map[instanceKey]bool{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(suffix) == 0 {
+		t.Fatal("empty climbed suffix")
+	}
+	for i := 0; i < len(suffix) && i < n; i++ {
+		want := truth[len(truth)-1-i]
+		if suffix[i].Addr != want.Addr || suffix[i].Target != want.Target {
+			t.Fatalf("suffix[%d] = %#x->%#x, truth %#x->%#x", i, suffix[i].Addr, suffix[i].Target, want.Addr, want.Target)
+		}
+	}
+}
+
+// TestClimbSuffixMatchesTruthOnCheckChain climbs a junction-heavy history
+// (every iteration passes a seven-way check chain) and requires the whole
+// climbed suffix to match the forward trace.
+func TestClimbSuffixMatchesTruthOnCheckChain(t *testing.T) {
 	const trips = 120
 	pattern := make([]byte, trips)
 	for i := range pattern {
 		pattern[i] = byte((i * 7) % 9) // values 0..8; 1..7 go complex at chk k
 	}
-	v := chainVictim(trips, pattern)
-	m := cpu.New(cpu.Options{Seed: 5})
-	capProg, _ := buildCaptureProgram(m, v)
-	window, err := ReadPHR(m, v, ReadPHROptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, _ := pathfinder.Build(capProg)
-	entry := capProg.MustSymbol("cap_call")
-	dag, err := cfg.SearchDAG(pathfinder.Spec{Observed: window, Entry: entry, Final: entry + 1, MaxReversals: 194})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("terminals=%d deepestNil=%v", len(dag.Terminals), dag.Deepest == nil)
-	// trace climb
-	oracle := map[instanceKey]bool{}
-	cl, probes, err := climbSuffix(m, v, capProg, window, dag.Root, nil, ExtendedOptions{Rounds: 6, MaxUnknownRun: 3}, oracle)
-	t.Logf("climb: suffix=%d probes=%d err=%v", len(cl.suffix), probes, err)
-	_ = phr.FootprintDoublets
+	climbAgainstTruth(t, 5, chainVictim(trips, pattern), trips*8)
 }
 
-func TestXDebugFullExtended(t *testing.T) {
+// TestExtendedReadPHRExactOnCheckChain recovers a check-chain history far
+// beyond the window and requires it to equal the forward trace.
+func TestExtendedReadPHRExactOnCheckChain(t *testing.T) {
 	const trips = 120
 	rng := rand.New(rand.NewSource(31))
 	pattern := make([]byte, trips)
@@ -88,14 +128,10 @@ func TestXDebugFullExtended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("ext=%d complete=%v", len(res.Ext), res.Path.Complete)
-	// verify against truth
-	m2 := cpu.New(cpu.Options{Seed: 5})
-	var fps []pathfinder.Step
-	m2.TraceTaken = func(pc, tgt uint64) { fps = append(fps, pathfinder.Step{Addr: pc, Target: tgt, Taken: true}) }
-	v.Setup(m2)
-	m2.Run(res.CaptureProgram, "cap_main")
-	truth := fps[194:]
+	if !res.Path.Complete {
+		t.Fatal("recovered path incomplete")
+	}
+	truth := captureTruth(t, 5, v, res.CaptureProgram)
 	var rec []pathfinder.Step
 	for _, s := range res.Path.Steps {
 		if s.Taken {
@@ -103,14 +139,13 @@ func TestXDebugFullExtended(t *testing.T) {
 		}
 	}
 	if len(rec) != len(truth) {
-		t.Fatalf("len mismatch %d vs %d", len(rec), len(truth))
+		t.Fatalf("recovered %d taken branches, truth has %d", len(rec), len(truth))
 	}
 	for i := range rec {
-		if rec[i].Addr != truth[i].Addr {
-			t.Fatalf("divergence at %d", i)
+		if rec[i].Addr != truth[i].Addr || rec[i].Target != truth[i].Target {
+			t.Fatalf("divergence at taken branch %d", i)
 		}
 	}
-	t.Log("exact recovery")
 }
 
 const xCoefBase = 0x0040_0000
@@ -180,44 +215,12 @@ func xIDCTVictim(nblocks int, coef []jpeg.Block) Victim {
 	}
 }
 
-func TestXDebugIDCT(t *testing.T) {
+// TestClimbSuffixMatchesTruthOnIDCT climbs the image victim's IDCT history
+// on a 24 px QR-like image and checks the 40 most recent taken branches
+// against the forward trace.
+func TestClimbSuffixMatchesTruthOnIDCT(t *testing.T) {
 	img := media.QRLike(24, 24, 7)
 	enc, _ := jpeg.Encode(img.Pix, img.W, img.H, 60)
 	_, blocks, _ := jpeg.DecodeBlocks(enc)
-	v := xIDCTVictim(len(blocks), blocks)
-	m := cpu.New(cpu.Options{Seed: 9})
-	capProg, _ := buildCaptureProgram(m, v)
-
-	// ground truth
-	m2 := cpu.New(cpu.Options{Seed: 9})
-	var truth []pathfinder.Step
-	m2.TraceTaken = func(pc, tgt uint64) { truth = append(truth, pathfinder.Step{Addr: pc, Target: tgt, Taken: true}) }
-	v.Setup(m2)
-	m2.Run(capProg, "cap_main")
-	truth = truth[194:]
-
-	window, err := ReadPHR(m, v, ReadPHROptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, _ := pathfinder.Build(capProg)
-	entry := capProg.MustSymbol("cap_call")
-	oracle := map[instanceKey]bool{}
-	var ext []phr.Doublet
-	dag, err := cfg.SearchDAG(pathfinder.Spec{Observed: window, Ext: ext, Entry: entry, Final: entry + 1, MaxReversals: 194})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, _, err := climbSuffix(m, v, capProg, window, dag.Root, ext, ExtendedOptions{Rounds: 6, MaxUnknownRun: 3, Batch: 64}, oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("suffix=%d", len(cl.suffix))
-	for i := 0; i < len(cl.suffix) && i < 40; i++ {
-		want := truth[len(truth)-1-i]
-		if cl.suffix[i].Addr != want.Addr || cl.suffix[i].Target != want.Target {
-			t.Fatalf("suffix[%d] = %#x->%#x, truth %#x->%#x", i, cl.suffix[i].Addr, cl.suffix[i].Target, want.Addr, want.Target)
-		}
-	}
-	t.Log("suffix prefix matches truth")
+	climbAgainstTruth(t, 9, xIDCTVictim(len(blocks), blocks), 40)
 }

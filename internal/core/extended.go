@@ -136,7 +136,7 @@ func ExtendedReadPHR(m *cpu.Machine, v Victim, opts ExtendedOptions) (*ExtendedR
 			// in the DAG, which the PHT oracle resolves one test each.
 			var cands []pathfinder.Path
 			for _, term := range dag.Terminals {
-				p, probes, err := resolveDAGPath(m, v, capProg, term, len(ext), opts, oracle)
+				p, probes, err := resolveDAGPath(m, v, capProg, dag, term, len(ext), opts, oracle)
 				res.Probes += probes
 				if err != nil {
 					return nil, fmt.Errorf("core: extended read disambiguation: %w", err)
@@ -152,15 +152,14 @@ func ExtendedReadPHR(m *cpu.Machine, v Victim, opts ExtendedOptions) (*ExtendedR
 			res.Path = chosen
 			return res, nil
 		}
-		if dag.Deepest == nil {
+		if dag.Deepest == pathfinder.NoNode {
 			return nil, fmt.Errorf("core: extended read at doublet %d: no consistent history found", j)
 		}
-		climb, probes, err := climbSuffix(m, v, capProg, window, dag.Root, ext, opts, oracle)
+		suffix, probes, err := climbSuffix(m, v, capProg, window, dag, ext, opts, oracle)
 		res.Probes += probes
 		if err != nil {
 			return nil, fmt.Errorf("core: extended read suffix at doublet %d: %w", j, err)
 		}
-		suffix := climb.suffix
 		// The suffix stays sound for a full window beyond the verified
 		// extension, so a batch of doublets is resolved against it before
 		// the next search. When the suffix runs out of conditional branches
@@ -198,35 +197,34 @@ func ExtendedReadPHR(m *cpu.Machine, v Victim, opts ExtendedOptions) (*ExtendedR
 	return nil, fmt.Errorf("core: extended read exceeded MaxDoublets=%d", opts.MaxDoublets)
 }
 
-// climbSuffix reconstructs the taken-branch suffix (most recent first) by
-// walking the search DAG backward in time from the final state, resolving
-// each ambiguous arrival with the PHT oracle. It stops at the first
-// ambiguity it cannot test — an arrival candidate whose register is not yet
-// fully covered by the verified extension, or an unconditional-branch tie —
-// returning the sound prefix recovered so far.
-// climbResult carries the outcome of one suffix climb.
-type climbResult struct {
-	suffix []pathfinder.Step
-}
-
-// arrivalPlan describes how one candidate arrival at an ambiguous node can
+// arrivalPlan describes how one candidate arrival at an ambiguous state can
 // be tested: the taken steps along its route back to the first conditional
 // branch (the probe point), and how many of those reversals shift out
 // doublets beyond the verified extension (brute-forced as combos).
 type arrivalPlan struct {
-	edge     *pathfinder.PredEdge
-	steps    []pathfinder.Step // taken steps from the node backward; last is conditional when complete
+	steps    []pathfinder.Step // taken steps from the state backward; last is conditional when complete
 	unknowns int
 	complete bool // a conditional probe point was reached
 }
 
-// buildPlan walks backward from a candidate arrival through unique alive
-// predecessors until it finds a conditional-taken step to probe.
-func buildPlan(e *pathfinder.PredEdge, n *pathfinder.Node, extLen, maxUnknown int) arrivalPlan {
-	plan := arrivalPlan{edge: e}
-	depth := n.R
+// alivePreds appends to buf the arrivals at state n that are still alive.
+func alivePreds(dag *pathfinder.DAG, n pathfinder.NodeID, buf []pathfinder.Edge) []pathfinder.Edge {
+	for _, e := range dag.Preds(n) {
+		if dag.Alive(e.From) {
+			buf = append(buf, e)
+		}
+	}
+	return buf
+}
+
+// buildPlan walks backward from candidate arrival e at state n through
+// unique alive predecessors until it finds a conditional-taken step to
+// probe.
+func buildPlan(dag *pathfinder.DAG, e pathfinder.Edge, n pathfinder.NodeID, extLen, maxUnknown int) arrivalPlan {
+	var plan arrivalPlan
+	depth := dag.R(n)
 	cur := e
-	curNode := n
+	var alive []pathfinder.Edge
 	for hops := 0; hops < 4096; hops++ {
 		if cur.HasStep && cur.Step.Taken {
 			if depth >= extLen {
@@ -242,13 +240,7 @@ func buildPlan(e *pathfinder.PredEdge, n *pathfinder.Node, extLen, maxUnknown in
 				return plan
 			}
 		}
-		curNode = cur.From
-		var alive []*pathfinder.PredEdge
-		for i := range curNode.Preds {
-			if curNode.Preds[i].From.Alive {
-				alive = append(alive, &curNode.Preds[i])
-			}
-		}
+		alive = alivePreds(dag, cur.From, alive[:0])
 		if len(alive) != 1 {
 			return plan // nested ambiguity: cannot extend this probe plan
 		}
@@ -331,33 +323,29 @@ func testPlan(m *cpu.Machine, v Victim, capProg *isa.Program, window *phr.Reg, s
 // arrivals are resolved by probing each candidate route's nearest
 // conditional-taken instance through the PHT oracle (Figure 5 + §4.4); a
 // route whose instance is real belongs to the true history. The climb
-// stops at ambiguities it cannot test — nodes beyond the verified
+// stops at ambiguities it cannot test — states beyond the verified
 // extension's reach — returning the sound prefix, which the driver extends
 // before the next climb.
-func climbSuffix(m *cpu.Machine, v Victim, capProg *isa.Program, window *phr.Reg, root *pathfinder.Node, ext []phr.Doublet, opts ExtendedOptions, cache map[instanceKey]bool) (climbResult, int, error) {
-	var res climbResult
+func climbSuffix(m *cpu.Machine, v Victim, capProg *isa.Program, window *phr.Reg, dag *pathfinder.DAG, ext []phr.Doublet, opts ExtendedOptions, cache map[instanceKey]bool) ([]pathfinder.Step, int, error) {
+	var suffix []pathfinder.Step
 	probes := 0
-	n := root
+	n := dag.Root
+	var alive []pathfinder.Edge
 	for {
-		var alive []*pathfinder.PredEdge
-		for i := range n.Preds {
-			if n.Preds[i].From.Alive {
-				alive = append(alive, &n.Preds[i])
-			}
-		}
+		alive = alivePreds(dag, n, alive[:0])
 		if len(alive) == 0 {
-			return res, probes, nil
+			return suffix, probes, nil
 		}
 		chosen := alive[0]
 		if len(alive) > 1 {
 			tailUnknowns := 0
-			if n.R > len(ext) {
-				tailUnknowns = n.R - len(ext)
+			if r := dag.R(n); r > len(ext) {
+				tailUnknowns = r - len(ext)
 			}
-			var winners, defaults []*pathfinder.PredEdge
+			var winners, defaults []pathfinder.Edge
 			overBudget := false
 			for _, e := range alive {
-				plan := buildPlan(e, n, len(ext), opts.MaxUnknownRun)
+				plan := buildPlan(dag, e, n, len(ext), opts.MaxUnknownRun)
 				if !plan.complete {
 					defaults = append(defaults, e)
 					continue
@@ -366,10 +354,10 @@ func climbSuffix(m *cpu.Machine, v Victim, capProg *isa.Program, window *phr.Reg
 					overBudget = true
 					break
 				}
-				hit, p, err := testPlan(m, v, capProg, window, res.suffix, plan, ext, opts, cache)
+				hit, p, err := testPlan(m, v, capProg, window, suffix, plan, ext, opts, cache)
 				probes += p
 				if err != nil {
-					return res, probes, err
+					return suffix, probes, err
 				}
 				if hit {
 					winners = append(winners, e)
@@ -379,7 +367,7 @@ func climbSuffix(m *cpu.Machine, v Victim, capProg *isa.Program, window *phr.Reg
 				// Too many unverified doublets to brute force here: return
 				// the sound prefix; the driver verifies more of the
 				// extension and re-climbs.
-				return res, probes, nil
+				return suffix, probes, nil
 			}
 			switch {
 			case len(winners) == 1:
@@ -387,57 +375,53 @@ func climbSuffix(m *cpu.Machine, v Victim, capProg *isa.Program, window *phr.Reg
 			case len(winners) > 1:
 				// A PHT hash collision can make a wrong route test positive
 				// alongside the true one; verify each winner's deeper chain.
-				var survivors []*pathfinder.PredEdge
+				var survivors []pathfinder.Edge
 				for _, e := range winners {
-					ok, p, err := chainVerify(m, v, capProg, e.From, len(ext), opts, cache)
+					ok, p, err := chainVerify(m, v, capProg, dag, e.From, len(ext), opts, cache)
 					probes += p
 					if err != nil {
-						return res, probes, err
+						return suffix, probes, err
 					}
 					if ok {
 						survivors = append(survivors, e)
 					}
 				}
 				if len(survivors) != 1 {
-					return res, probes, fmt.Errorf("ambiguous arrivals at %#x: %d routes verify (invariant control flow beyond the PHR window?)", n.Addr, len(survivors))
+					return suffix, probes, fmt.Errorf("ambiguous arrivals at %#x: %d routes verify (invariant control flow beyond the PHR window?)", dag.Addr(n), len(survivors))
 				}
 				chosen = survivors[0]
 			case len(defaults) == 1:
 				chosen = defaults[0]
 			default:
-				return res, probes, fmt.Errorf("no arrival route at %#x tests positive (%d untestable)", n.Addr, len(defaults))
+				return suffix, probes, fmt.Errorf("no arrival route at %#x tests positive (%d untestable)", dag.Addr(n), len(defaults))
 			}
 		}
 		if chosen.HasStep && chosen.Step.Taken {
-			res.suffix = append(res.suffix, chosen.Step)
+			suffix = append(suffix, chosen.Step)
 		}
 		n = chosen.From
 	}
 }
 
-// chainVerify walks backward from a node through unique alive arrivals and
+// chainVerify walks backward from a state through unique alive arrivals and
 // oracle-tests up to three conditional-taken instances along the way; a
 // hypothesis reached through a hash-collision false positive has junk
 // registers upstream and fails quickly.
-func chainVerify(m *cpu.Machine, v Victim, capProg *isa.Program, n *pathfinder.Node, trustDepth int, opts ExtendedOptions, cache map[instanceKey]bool) (bool, int, error) {
+func chainVerify(m *cpu.Machine, v Victim, capProg *isa.Program, dag *pathfinder.DAG, n pathfinder.NodeID, trustDepth int, opts ExtendedOptions, cache map[instanceKey]bool) (bool, int, error) {
 	probes := 0
 	tested := 0
+	var alive []pathfinder.Edge
 	for tested < 3 {
-		var alive []*pathfinder.PredEdge
-		for i := range n.Preds {
-			if n.Preds[i].From.Alive {
-				alive = append(alive, &n.Preds[i])
-			}
-		}
+		alive = alivePreds(dag, n, alive[:0])
 		if len(alive) != 1 {
 			return true, probes, nil // ambiguity or end: stop verifying here
 		}
 		e := alive[0]
 		if e.HasStep && e.Step.Taken && e.Step.Conditional {
-			if e.From.R > trustDepth {
+			if dag.R(e.From) > trustDepth {
 				return true, probes, nil
 			}
-			taken, p, err := oracleTaken(m, v, capProg, e.Step.Addr, e.From.Reg, opts, cache)
+			taken, p, err := oracleTaken(m, v, capProg, e.Step.Addr, dag.Reg(e.From), opts, cache)
 			probes += p
 			if err != nil {
 				return false, probes, err
@@ -480,35 +464,36 @@ func oracleTaken(m *cpu.Machine, v Victim, capProg *isa.Program, pc uint64, reg 
 	return taken, 1, nil
 }
 
-// resolveDAGPath walks forward from a search-DAG node to the final state,
+// resolveDAGPath walks forward from a search-DAG state to the final state,
 // resolving each ambiguous junction (a conditional branch whose taken and
 // not-taken continuations are both observation-consistent) with one oracle
-// query. On a complete path every node register is fully verified and the
+// query. On a complete path every state register is fully verified and the
 // oracle is always meaningful; on a truncated suffix only junctions within
 // trustDepth reversals of the final state have fully known registers —
 // deeper ones are taken arbitrarily and re-derived after the extension
 // grows.
-func resolveDAGPath(m *cpu.Machine, v Victim, capProg *isa.Program, start *pathfinder.Node, trustDepth int, opts ExtendedOptions, cache map[instanceKey]bool) (pathfinder.Path, int, error) {
+func resolveDAGPath(m *cpu.Machine, v Victim, capProg *isa.Program, dag *pathfinder.DAG, start pathfinder.NodeID, trustDepth int, opts ExtendedOptions, cache map[instanceKey]bool) (pathfinder.Path, int, error) {
 	var steps []pathfinder.Step
 	probes := 0
+	complete := dag.Complete(start)
 	n := start
-	for len(n.Succs) > 0 {
-		e := n.Succs[0]
-		if len(n.Succs) > 1 && (start.Complete || n.R <= trustDepth) {
-			taken, p, err := oracleTaken(m, v, capProg, n.Addr, n.Reg, opts, cache)
+	for succs := dag.Succs(n); len(succs) > 0; succs = dag.Succs(n) {
+		e := succs[0]
+		if len(succs) > 1 && (complete || dag.R(n) <= trustDepth) {
+			taken, p, err := oracleTaken(m, v, capProg, dag.Addr(n), dag.Reg(n), opts, cache)
 			probes += p
 			if err != nil {
 				return pathfinder.Path{}, probes, err
 			}
 			found := false
-			for _, cand := range n.Succs {
+			for _, cand := range succs {
 				if cand.HasStep && cand.Step.Conditional && cand.Step.Taken == taken {
 					e, found = cand, true
 					break
 				}
 			}
 			if !found {
-				return pathfinder.Path{}, probes, fmt.Errorf("unresolvable junction at %#x (oracle says taken=%v)", n.Addr, taken)
+				return pathfinder.Path{}, probes, fmt.Errorf("unresolvable junction at %#x (oracle says taken=%v)", dag.Addr(n), taken)
 			}
 		}
 		if e.HasStep {
@@ -516,7 +501,7 @@ func resolveDAGPath(m *cpu.Machine, v Victim, capProg *isa.Program, start *pathf
 		}
 		n = e.To
 	}
-	return pathfinder.Path{Steps: steps, Complete: start.Complete}, probes, nil
+	return pathfinder.Path{Steps: steps, Complete: complete}, probes, nil
 }
 
 // instanceKey identifies one dynamic execution instance of a conditional

@@ -55,15 +55,25 @@ type TakenEdge struct {
 }
 
 // CFG is the control-flow model of a program: basic blocks for reporting
-// and a taken-edge catalog for the path search.
+// and a taken-edge catalog for the path search. The catalog is indexed by
+// instruction position, with every source already resolved, so the search
+// never consults an address map.
 type CFG struct {
 	Prog   *isa.Program
 	Blocks []*Block
 
-	edgesTo     map[uint64][]TakenEdge // target address -> possible taken arrivals
-	blockOf     map[uint64]int         // leader address -> block index
-	indirects   map[uint64][]uint64    // JR address -> candidate targets
-	transfersTo map[uint64][]uint64    // handler entry -> SYSCALL/EENTER sites
+	arrivals  [][]arrival         // target index -> possible taken arrivals, in catalog order
+	transfers [][]int32           // handler entry index -> SYSCALL/EENTER site indices
+	blockOf   map[uint64]int      // leader address -> block index
+	indirects map[uint64][]uint64 // JR address -> candidate targets
+}
+
+// arrival is one catalogued taken edge into an instruction. fromIdx is the
+// program index of the branch, or -1 when the source is not an instruction
+// (the search skips such edges).
+type arrival struct {
+	edge    TakenEdge
+	fromIdx int32
 }
 
 // Block is a straight-line run of instructions ending at a control
@@ -79,11 +89,11 @@ type Block struct {
 // Build constructs the CFG of a program.
 func Build(p *isa.Program) (*CFG, error) {
 	c := &CFG{
-		Prog:        p,
-		edgesTo:     make(map[uint64][]TakenEdge),
-		blockOf:     make(map[uint64]int),
-		indirects:   make(map[uint64][]uint64),
-		transfersTo: make(map[uint64][]uint64),
+		Prog:      p,
+		arrivals:  make([][]arrival, len(p.Instrs)),
+		transfers: make([][]int32, len(p.Instrs)),
+		blockOf:   make(map[uint64]int),
+		indirects: make(map[uint64][]uint64),
 	}
 	c.buildEdges()
 	c.buildBlocks()
@@ -97,9 +107,14 @@ func Build(p *isa.Program) (*CFG, error) {
 // machine, not the binary, so callers must provide it — the analogue of
 // giving angr a syscall model.
 func (c *CFG) AddTransfer(from, entry uint64) {
-	c.transfersTo[entry] = append(c.transfersTo[entry], from)
 	idx, ok := c.Prog.IndexOf(from)
-	if !ok || idx+1 >= len(c.Prog.Instrs) {
+	if !ok {
+		return
+	}
+	if e, ok := c.Prog.IndexOf(entry); ok {
+		c.transfers[e] = append(c.transfers[e], int32(idx))
+	}
+	if idx+1 >= len(c.Prog.Instrs) {
 		return
 	}
 	pad := c.Prog.Instrs[idx+1].Addr
@@ -107,9 +122,6 @@ func (c *CFG) AddTransfer(from, entry uint64) {
 		c.addEdge(TakenEdge{From: r, To: pad, Kind: EdgeReturn, Footprint: phr.Footprint(r, pad)})
 	}
 }
-
-// TransfersTo lists the SYSCALL/EENTER sites that enter a handler.
-func (c *CFG) TransfersTo(entry uint64) []uint64 { return c.transfersTo[entry] }
 
 // AddIndirectTargets registers candidate targets for an indirect jump (JR)
 // at addr — the information angr sometimes misses (§6); callers provide it
@@ -121,8 +133,18 @@ func (c *CFG) AddIndirectTargets(addr uint64, targets ...uint64) {
 	}
 }
 
+// addEdge catalogues a taken edge under its target's index. Edges into
+// non-instructions are dropped: no search state sits there.
 func (c *CFG) addEdge(e TakenEdge) {
-	c.edgesTo[e.To] = append(c.edgesTo[e.To], e)
+	to, ok := c.Prog.IndexOf(e.To)
+	if !ok {
+		return
+	}
+	from := int32(-1)
+	if i, ok := c.Prog.IndexOf(e.From); ok {
+		from = int32(i)
+	}
+	c.arrivals[to] = append(c.arrivals[to], arrival{edge: e, fromIdx: from})
 }
 
 func (c *CFG) buildEdges() {
@@ -274,8 +296,18 @@ func (c *CFG) BlockAt(addr uint64) (*Block, bool) {
 	return nil, false
 }
 
-// EdgesTo lists the possible taken arrivals at an address.
-func (c *CFG) EdgesTo(addr uint64) []TakenEdge { return c.edgesTo[addr] }
+// EdgesTo lists the possible taken arrivals at an instruction address.
+func (c *CFG) EdgesTo(addr uint64) []TakenEdge {
+	idx, ok := c.Prog.IndexOf(addr)
+	if !ok {
+		return nil
+	}
+	out := make([]TakenEdge, len(c.arrivals[idx]))
+	for i, a := range c.arrivals[idx] {
+		out[i] = a.edge
+	}
+	return out
+}
 
 // Dump renders the blocks and their successors, Figure-6 style.
 func (c *CFG) Dump() string {

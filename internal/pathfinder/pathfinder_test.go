@@ -19,6 +19,122 @@ func mustAssemble(t *testing.T, build func(a *isa.Assembler)) *isa.Program {
 	return p
 }
 
+// assemble builds one of the fixed corpus programs below; they are
+// static, so an assembly error is a bug in this file.
+func assemble(build func(a *isa.Assembler)) *isa.Program {
+	a := isa.NewAssembler()
+	build(a)
+	p, err := a.Assemble()
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// The search corpus: the hand-written programs these tests recover, shared
+// with the golden corpus (export_test.go). Each runs from "entry" and ends
+// at "end".
+
+func simpleLoopProgram(trips int64) *isa.Program {
+	return assemble(func(a *isa.Assembler) {
+		a.Org(0x2000)
+		a.Label("entry")
+		a.MovI(isa.R1, 0)
+		a.MovI(isa.R2, trips)
+		a.Label("loop")
+		a.AddI(isa.R1, isa.R1, 1)
+		a.Label("back")
+		a.Br(isa.LT, isa.R1, isa.R2, "loop")
+		a.Label("end")
+		a.Halt()
+	})
+}
+
+func nestedLoopsProgram() *isa.Program {
+	return assemble(func(a *isa.Assembler) {
+		a.Org(0x3000)
+		a.Label("entry")
+		a.MovI(isa.R1, 0) // i
+		a.Label("outer")
+		a.MovI(isa.R2, 0) // j
+		a.Label("inner")
+		a.AddI(isa.R2, isa.R2, 1)
+		a.MovI(isa.R4, 3)
+		a.Label("innerbr")
+		a.Br(isa.LT, isa.R2, isa.R4, "inner")
+		a.AddI(isa.R1, isa.R1, 1)
+		a.MovI(isa.R4, 4)
+		a.Label("outerbr")
+		a.Br(isa.LT, isa.R1, isa.R4, "outer")
+		a.Label("end")
+		a.Halt()
+	})
+}
+
+// secretLadderSecret is the data the if/else ladder program branches on.
+var secretLadderSecret = []byte{1, 0, 1, 1, 0, 0, 1, 0}
+
+// secretLadderProgram is an if/else ladder reading secret memory at 0x9000.
+func secretLadderProgram() *isa.Program {
+	return assemble(func(a *isa.Assembler) {
+		a.Org(0x4000)
+		a.Label("entry")
+		a.MovI(isa.R5, 0x9000) // secret array
+		a.MovI(isa.R1, 0)      // i
+		a.MovI(isa.R2, 8)
+		a.MovI(isa.R6, 1)
+		a.Label("loop")
+		a.Add(isa.R3, isa.R5, isa.R1)
+		a.LdB(isa.R4, isa.R3, 0)
+		a.Label("bit")
+		a.Br(isa.EQ, isa.R4, isa.R6, "one")
+		a.Nop() // "zero" side
+		a.Jmp("join")
+		a.Label("one")
+		a.Nop()
+		a.Label("join")
+		a.AddI(isa.R1, isa.R1, 1)
+		a.Label("back")
+		a.Br(isa.LT, isa.R1, isa.R2, "loop")
+		a.Label("end")
+		a.Halt()
+	})
+}
+
+func setupSecretLadder(m *cpu.Machine) { m.Mem.WriteBytes(0x9000, secretLadderSecret) }
+
+func callReturnProgram() *isa.Program {
+	return assemble(func(a *isa.Assembler) {
+		a.Org(0x5000)
+		a.Label("entry")
+		a.MovI(isa.R1, 2)
+		a.Call("helper")
+		a.Call("helper")
+		a.Label("end")
+		a.Halt()
+		a.Org(0x6100)
+		a.Label("helper")
+		a.AddI(isa.R1, isa.R1, 1)
+		a.Ret()
+	})
+}
+
+// longLoopProgram runs more taken branches than the PHR window holds.
+func longLoopProgram(trips int64) *isa.Program {
+	return assemble(func(a *isa.Assembler) {
+		a.Org(0x7000)
+		a.Label("entry")
+		a.MovI(isa.R1, 0)
+		a.MovI(isa.R2, trips)
+		a.Label("loop")
+		a.AddI(isa.R1, isa.R1, 1)
+		a.Label("back")
+		a.Br(isa.LT, isa.R1, isa.R2, "loop")
+		a.Label("end")
+		a.Halt()
+	})
+}
+
 // runTraced executes prog from entry on a fresh machine and returns the
 // final PHR, the taken-branch trace, and a virtual unbounded doublet
 // history (index 0 most recent) for Ext construction.
@@ -57,18 +173,7 @@ func extFrom(virt []uint8, window int) []phr.Doublet {
 
 func TestSearchSimpleLoop(t *testing.T) {
 	const trips = 5
-	p := mustAssemble(t, func(a *isa.Assembler) {
-		a.Org(0x2000)
-		a.Label("entry")
-		a.MovI(isa.R1, 0)
-		a.MovI(isa.R2, trips)
-		a.Label("loop")
-		a.AddI(isa.R1, isa.R1, 1)
-		a.Label("back")
-		a.Br(isa.LT, isa.R1, isa.R2, "loop")
-		a.Label("end")
-		a.Halt()
-	})
+	p := simpleLoopProgram(trips)
 	observed, _ := runTraced(t, p, "entry", nil)
 	cfg, err := Build(p)
 	if err != nil {
@@ -100,24 +205,7 @@ func TestSearchSimpleLoop(t *testing.T) {
 }
 
 func TestSearchNestedLoops(t *testing.T) {
-	p := mustAssemble(t, func(a *isa.Assembler) {
-		a.Org(0x3000)
-		a.Label("entry")
-		a.MovI(isa.R1, 0) // i
-		a.Label("outer")
-		a.MovI(isa.R2, 0) // j
-		a.Label("inner")
-		a.AddI(isa.R2, isa.R2, 1)
-		a.MovI(isa.R4, 3)
-		a.Label("innerbr")
-		a.Br(isa.LT, isa.R2, isa.R4, "inner")
-		a.AddI(isa.R1, isa.R1, 1)
-		a.MovI(isa.R4, 4)
-		a.Label("outerbr")
-		a.Br(isa.LT, isa.R1, isa.R4, "outer")
-		a.Label("end")
-		a.Halt()
-	})
+	p := nestedLoopsProgram()
 	observed, _ := runTraced(t, p, "entry", nil)
 	cfg, _ := Build(p)
 	paths, err := cfg.Search(Spec{
@@ -143,36 +231,9 @@ func TestSearchNestedLoops(t *testing.T) {
 func TestSearchRecoversDataDependentBranches(t *testing.T) {
 	// An if/else ladder reading secret memory: the recovered path must
 	// reveal each secret bit — the core leak of the paper.
-	build := func() *isa.Program {
-		return mustAssemble(t, func(a *isa.Assembler) {
-			a.Org(0x4000)
-			a.Label("entry")
-			a.MovI(isa.R5, 0x9000) // secret array
-			a.MovI(isa.R1, 0)      // i
-			a.MovI(isa.R2, 8)
-			a.MovI(isa.R6, 1)
-			a.Label("loop")
-			a.Add(isa.R3, isa.R5, isa.R1)
-			a.LdB(isa.R4, isa.R3, 0)
-			a.Label("bit")
-			a.Br(isa.EQ, isa.R4, isa.R6, "one")
-			a.Nop() // "zero" side
-			a.Jmp("join")
-			a.Label("one")
-			a.Nop()
-			a.Label("join")
-			a.AddI(isa.R1, isa.R1, 1)
-			a.Label("back")
-			a.Br(isa.LT, isa.R1, isa.R2, "loop")
-			a.Label("end")
-			a.Halt()
-		})
-	}
-	secret := []byte{1, 0, 1, 1, 0, 0, 1, 0}
-	p := build()
-	observed, _ := runTraced(t, p, "entry", func(m *cpu.Machine) {
-		m.Mem.WriteBytes(0x9000, secret)
-	})
+	secret := secretLadderSecret
+	p := secretLadderProgram()
+	observed, _ := runTraced(t, p, "entry", setupSecretLadder)
 	cfg, _ := Build(p)
 	paths, err := cfg.Search(Spec{
 		Observed: observed,
@@ -207,19 +268,7 @@ func TestSearchRecoversDataDependentBranches(t *testing.T) {
 }
 
 func TestSearchThroughCallReturn(t *testing.T) {
-	p := mustAssemble(t, func(a *isa.Assembler) {
-		a.Org(0x5000)
-		a.Label("entry")
-		a.MovI(isa.R1, 2)
-		a.Call("helper")
-		a.Call("helper")
-		a.Label("end")
-		a.Halt()
-		a.Org(0x6100)
-		a.Label("helper")
-		a.AddI(isa.R1, isa.R1, 1)
-		a.Ret()
-	})
+	p := callReturnProgram()
 	observed, _ := runTraced(t, p, "entry", nil)
 	cfg, _ := Build(p)
 	paths, err := cfg.Search(Spec{
@@ -253,18 +302,7 @@ func TestSearchWindowTruncationAndExt(t *testing.T) {
 	// in the real attack from Extended_Read_PHR) it completes and recovers
 	// the exact trip count — the >194-iteration limitation of §6 lifted.
 	const trips = 250
-	p := mustAssemble(t, func(a *isa.Assembler) {
-		a.Org(0x7000)
-		a.Label("entry")
-		a.MovI(isa.R1, 0)
-		a.MovI(isa.R2, trips)
-		a.Label("loop")
-		a.AddI(isa.R1, isa.R1, 1)
-		a.Label("back")
-		a.Br(isa.LT, isa.R1, isa.R2, "loop")
-		a.Label("end")
-		a.Halt()
-	})
+	p := longLoopProgram(trips)
 	observed, virt := runTraced(t, p, "entry", nil)
 	cfg, _ := Build(p)
 

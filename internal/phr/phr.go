@@ -310,8 +310,7 @@ func (r *Reg) Doublet(i int) Doublet {
 	if i < 0 || i >= r.size {
 		panic(fmt.Sprintf("phr: doublet %d out of range [0,%d)", i, r.size))
 	}
-	b := 2 * uint(i)
-	return Doublet(r.w[b/64]>>(b%64)) & 3
+	return WordsDoublet(&r.w, i)
 }
 
 // SetDoublet sets doublet i to v (low two bits used).
@@ -406,21 +405,44 @@ func (r *Reg) ReverseUpdate(footprint uint16, top Doublet) {
 	if r.nvalid != 0 {
 		r.pushOp(footprint, true, top)
 	}
-	r.w[0] ^= uint64(footprint)
-	nw := r.words()
+	// The recovered top doublet is set in place; unlike SetDoublet this
+	// must not invalidate the fold cache (the deferred op already accounts
+	// for the incoming doublet). Gen advances twice, matching the
+	// historical Update-then-SetDoublet sequence.
+	ReverseWords(&r.w, r.size, footprint, top)
+	r.gen += 2
+}
+
+// ReverseWords applies ReverseUpdate to bare register content: w is the
+// packed form Words returns for a register of size doublets. Callers that
+// keep many register values in flat, pointer-free storage (the Pathfinder
+// search) reverse them without a Reg; FromWords turns one back into a Reg.
+func ReverseWords(w *[maxWords]uint64, size int, footprint uint16, top Doublet) {
+	w[0] ^= uint64(footprint)
+	nw := (2*size + 63) / 64
 	for i := 0; i < nw-1; i++ {
-		r.w[i] = r.w[i]>>2 | r.w[i+1]<<62
+		w[i] = w[i]>>2 | w[i+1]<<62
 	}
-	r.w[nw-1] >>= 2
-	r.gen++
+	// A right shift cannot set bits at or above 2*size, so no masking.
+	w[nw-1] >>= 2
+	b := 2 * uint(size-1)
+	w[b/64] = w[b/64]&^(3<<(b%64)) | uint64(top&3)<<(b%64)
+}
+
+// WordsDoublet returns doublet i (0 = most recent) of packed register
+// content, without the range check of Reg.Doublet.
+func WordsDoublet(w *[maxWords]uint64, i int) Doublet {
+	b := 2 * uint(i)
+	return Doublet(w[b/64]>>(b%64)) & 3
+}
+
+// FromWords returns a register of size doublets holding packed content w
+// (as returned by Words).
+func FromWords(size int, w [maxWords]uint64) *Reg {
+	r := New(size)
+	r.w = w
 	r.mask()
-	// Set the recovered top doublet in place; unlike SetDoublet this must
-	// not invalidate the fold cache (the deferred op already accounts for
-	// the incoming doublet). Gen advances twice, matching the historical
-	// Update-then-SetDoublet sequence.
-	b := 2 * uint(r.size-1)
-	r.w[b/64] = r.w[b/64]&^(3<<(b%64)) | uint64(top&3)<<(b%64)
-	r.gen++
+	return r
 }
 
 // Clone returns an independent copy of the PHR.
