@@ -416,3 +416,26 @@ func TestEdgesToCatalog(t *testing.T) {
 		t.Fatalf("want 2 edges to x, got %d", len(edges))
 	}
 }
+
+// TestDAGSlicesAreCapped checks that the edge slices a DAG hands out are
+// capped at their length: they alias arena pages, so an append by a caller
+// must copy instead of overwriting the neighbouring state's edges.
+func TestDAGSlicesAreCapped(t *testing.T) {
+	p := simpleLoopProgram(5)
+	observed, _ := runTraced(t, p, "entry", nil)
+	cfg, _ := Build(p)
+	dag, err := cfg.SearchDAG(Spec{Observed: observed, Entry: p.MustSymbol("entry"), Final: p.MustSymbol("end")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dag.Terminals) != 1 {
+		t.Fatalf("want 1 terminal, got %d", len(dag.Terminals))
+	}
+	preds, succs := dag.Preds(dag.Root), dag.Succs(dag.Terminals[0])
+	if len(preds) == 0 || len(succs) == 0 {
+		t.Fatal("root without predecessors or terminal without successors")
+	}
+	if cap(preds) != len(preds) || cap(succs) != len(succs) {
+		t.Fatalf("uncapped slices: preds %d/%d, succs %d/%d", len(preds), cap(preds), len(succs), cap(succs))
+	}
+}

@@ -216,7 +216,7 @@ func (d *DAG) Preds(n NodeID) []Edge {
 // Succs lists the edges leading forward in time from state n toward the
 // final state. A conditional branch state with both continuations
 // consistent has two, a junction. The slice is read-only.
-func (d *DAG) Succs(n NodeID) []Edge { return d.succs[d.succAt[n]:d.succAt[n+1]] }
+func (d *DAG) Succs(n NodeID) []Edge { return d.succs[d.succAt[n]:d.succAt[n+1]:d.succAt[n+1]] }
 
 // arena is a paged, append-only store: growth adds a page and never moves
 // existing elements, so a search of millions of states neither copies nor
@@ -249,13 +249,14 @@ func (a *arena[T]) reserve(k int) {
 	}
 }
 
-// run returns the k elements from index i, which reserve placed on one page.
+// run returns the k elements from index i, which reserve placed on one page,
+// capped so that an append by the caller cannot overwrite the next run.
 func (a *arena[T]) run(i, k int32) []T {
 	if k == 0 {
 		return nil
 	}
 	off := i & (1<<a.shift - 1)
-	return a.pages[i>>a.shift][off : off+k]
+	return a.pages[i>>a.shift][off : off+k : off+k]
 }
 
 // nodePageShift sizes node pages at 4096 states (320 KiB).
