@@ -150,8 +150,18 @@ func observe(cfg *pathfinder.CFG, spec pathfinder.Spec) goldenOut {
 		out.Deepest = &st
 	}
 	// Every state is a predecessor of some earlier one, so walking
-	// predecessors from the root visits them all.
-	seen := map[pathfinder.NodeID]bool{dag.Root: true}
+	// predecessors from the root visits them all. NodeIDs are dense, so a
+	// slice indexed by ID records the visits.
+	seen := []bool{}
+	mark := func(n pathfinder.NodeID) bool {
+		for int(n) >= len(seen) {
+			seen = append(seen, false)
+		}
+		was := seen[n]
+		seen[n] = true
+		return was
+	}
+	mark(dag.Root)
 	stack := []pathfinder.NodeID{dag.Root}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
@@ -160,8 +170,7 @@ func observe(cfg *pathfinder.CFG, spec pathfinder.Spec) goldenOut {
 			out.Alive++
 		}
 		for _, e := range dag.Preds(n) {
-			if !seen[e.From] {
-				seen[e.From] = true
+			if !mark(e.From) {
 				stack = append(stack, e.From)
 			}
 		}
